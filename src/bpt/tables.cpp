@@ -378,7 +378,27 @@ OptSolver::Solution OptSolver::reconstruct(TypeId root_choice) const {
   return sol;
 }
 
+std::optional<std::pair<TypeId, Weight>> best_accepting(const OptTable& table,
+                                                        Evaluator& eval) {
+  std::optional<std::pair<TypeId, Weight>> best;
+  for (const auto& [t, w] : table) {
+    if (!eval.eval(t)) continue;  // evaluate every class: eval may intern
+    if (!best || w > best->second) best.emplace(t, w);
+  }
+  return best;
+}
+
 // --- counting ------------------------------------------------------------------
+
+std::uint64_t count_accepting(const CountTable& table, Evaluator& eval) {
+  std::uint64_t total = 0;
+  for (const auto& [t, c] : table) {
+    if (!eval.eval(t)) continue;
+    if (__builtin_add_overflow(total, c, &total))
+      throw std::overflow_error("count: overflow");
+  }
+  return total;
+}
 
 std::vector<CountTable> fold_count(Engine& engine, const Plan& plan,
                                    const Graph& g,

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bpt/engine.hpp"
@@ -83,6 +85,12 @@ class OptSolver {
   std::vector<FlatMap<TypeId, Back>> backs_;      // per plan node
 };
 
+/// Root rule of optimization: the accepting class of maximum weight in an
+/// OPT table (the smallest such class id on ties), or nullopt when no
+/// class accepts.
+std::optional<std::pair<TypeId, Weight>> best_accepting(const OptTable& table,
+                                                        Evaluator& eval);
+
 // --- counting (any number of free slots) --------------------------------------
 
 using CountTable = FlatMap<TypeId, std::uint64_t>;
@@ -92,6 +100,10 @@ using CountTable = FlatMap<TypeId, std::uint64_t>;
 std::vector<CountTable> fold_count(Engine& engine, const Plan& plan,
                                    const Graph& g,
                                    std::vector<CountTable> input_tables = {});
+
+/// Root rule of counting: the number of assignments whose class accepts.
+/// Throws std::overflow_error on std::uint64_t overflow.
+std::uint64_t count_accepting(const CountTable& table, Evaluator& eval);
 
 /// Class of the plan root under a *fixed* assignment of one free slot
 /// (vertex or edge set given by membership flags over the host graph's

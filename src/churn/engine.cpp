@@ -22,6 +22,29 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+/// The schedule-independent verdict fields of one pipeline outcome.
+void record_verdict(const dist::DecisionOutcome& r, VerdictSummary& v) {
+  v.holds = r.holds;
+}
+void record_verdict(const dist::CountingOutcome& r, VerdictSummary& v) {
+  v.count = r.count;
+}
+void record_verdict(const dist::OptimizationOutcome& r, VerdictSummary& v) {
+  v.feasible = r.best_weight.has_value();
+  v.best_weight = r.best_weight.value_or(0);
+}
+void record_verdict(const dist::OptMarkedOutcome& r, VerdictSummary& v) {
+  v.satisfies = r.satisfies;
+  v.is_optimal = r.is_optimal;
+  v.marked_weight = r.marked_weight;
+  v.best_weight = r.best_weight;
+}
+
+/// An epoch note: why the epoch took its path, then what happened on it.
+std::string join_notes(const std::string& reason, const std::string& note) {
+  return note.empty() ? reason : reason + "; " + note;
+}
+
 }  // namespace
 
 const char* to_string(Pipeline pipeline) {
@@ -124,35 +147,22 @@ std::vector<dist::LocalBag> bags_for_tree(
 
 ChurnEngine::ChurnEngine(Graph g, Query query, Options opts)
     : graph_(std::move(g)), query_(std::move(query)), opts_(std::move(opts)) {
-  switch (query_.pipeline) {
-    case Pipeline::kDecision: {
-      const mso::FormulaPtr lowered = mso::lower(query_.formula);
-      engine_.emplace(bpt::config_for(*lowered));
-      break;
-    }
-    case Pipeline::kCount: {
-      const mso::FormulaPtr lowered = mso::lower(query_.formula, query_.vars);
-      engine_.emplace(bpt::config_for(*lowered, query_.vars));
-      break;
-    }
-    case Pipeline::kMaximize:
-    case Pipeline::kMinimize: {
-      const std::vector<std::pair<std::string, mso::Sort>> frees{
-          {query_.var, query_.var_sort}};
-      const mso::FormulaPtr lowered = mso::lower(query_.formula, frees);
-      engine_.emplace(bpt::config_for(*lowered, frees));
-      break;
-    }
-    case Pipeline::kOptMarked:
-      break;  // run_optmarked_solve builds its own engine each epoch
-  }
+  using dist::Frees;
   if (query_.pipeline == Pipeline::kOptMarked) {
+    // run_optmarked_solve builds its own engine each epoch.
     std::tie(vlabels_, elabels_) =
         dist::optmarked_labels(query_.formula, query_.var, query_.var_sort);
   } else {
+    const Frees frees = query_.pipeline == Pipeline::kDecision ? Frees{}
+                        : query_.pipeline == Pipeline::kCount
+                            ? query_.vars
+                            : Frees{{query_.var, query_.var_sort}};
+    engine_.emplace(bpt::config_for(*mso::lower(query_.formula, frees), frees));
     vlabels_ = engine_->config().vertex_labels;
     elabels_ = engine_->config().edge_labels;
   }
+  if (query_.pipeline == Pipeline::kCount)
+    cache_.emplace<dist::CountingCache>();
   invalidate_caches();
 }
 
@@ -171,46 +181,14 @@ void bump(const congest::NetworkConfig& cfg, const char* name) {
 
 void ChurnEngine::invalidate_caches() {
   const int n = graph_.num_vertices();
-  dcache_.classes.assign(n, bpt::kInvalidType);
-  dcache_.refold.assign(n, 1);
-  ccache_.tables.assign(n, bpt::CountTable{});
-  ccache_.valid.assign(n, 0);
-  ccache_.refold.assign(n, 1);
+  std::visit([n](auto& cache) { cache.invalidate(n); }, cache_);
   net_ids_.assign(n, -1);
 }
 
 void ChurnEngine::remap_caches(const std::vector<VertexId>& old_to_new,
                                int new_n) {
+  std::visit([&](auto& cache) { cache.remap(old_to_new, new_n); }, cache_);
   const std::size_t old_n = old_to_new.size();
-  dist::DecisionCache nd;
-  nd.classes.assign(new_n, bpt::kInvalidType);
-  nd.refold.assign(new_n, 1);  // new vertices always refold
-  if (dcache_.classes.size() == old_n && dcache_.refold.size() == old_n) {
-    for (std::size_t ov = 0; ov < old_n; ++ov) {
-      const VertexId nv = old_to_new[ov];
-      if (nv < 0) continue;
-      nd.classes[nv] = dcache_.classes[ov];
-      // A refold flag left set by a degraded epoch means "still stale":
-      // it survives the renumbering and is OR-ed with the new dirty set.
-      nd.refold[nv] = dcache_.refold[ov];
-    }
-  }
-  dcache_ = std::move(nd);
-  dist::CountingCache nc;
-  nc.tables.assign(new_n, bpt::CountTable{});
-  nc.valid.assign(new_n, 0);
-  nc.refold.assign(new_n, 1);
-  if (ccache_.tables.size() == old_n && ccache_.valid.size() == old_n &&
-      ccache_.refold.size() == old_n) {
-    for (std::size_t ov = 0; ov < old_n; ++ov) {
-      const VertexId nv = old_to_new[ov];
-      if (nv < 0) continue;
-      nc.tables[nv] = std::move(ccache_.tables[ov]);
-      nc.valid[nv] = ccache_.valid[ov];
-      nc.refold[nv] = ccache_.refold[ov];
-    }
-  }
-  ccache_ = std::move(nc);
   std::vector<int> nids(new_n, -1);
   if (net_ids_.size() == old_n)
     for (std::size_t ov = 0; ov < old_n; ++ov)
@@ -222,49 +200,44 @@ StepOutcome ChurnEngine::solve(congest::Network& net,
                                const dist::ElimTreeResult& tree,
                                const std::vector<dist::LocalBag>& bags) {
   StepOutcome out;
-  switch (query_.pipeline) {
-    case Pipeline::kDecision: {
-      const dist::DecisionOutcome r = dist::run_decision_solve(
-          net, query_.formula, tree, bags, &*engine_, &dcache_);
-      out.run = r.run;
-      out.folds = r.folds;
-      out.verdict.holds = r.holds;
-      break;
+  auto take = [&](const auto& r) {
+    out.run = r.run;
+    record_verdict(r, out.verdict);
+    if constexpr (requires { r.folds; }) out.folds = r.folds;
+  };
+  try {
+    switch (query_.pipeline) {
+      case Pipeline::kDecision:
+        take(dist::run_decision_solve(net, query_.formula, tree, bags,
+                                      &*engine_,
+                                      &std::get<dist::DecisionCache>(cache_)));
+        break;
+      case Pipeline::kCount:
+        take(dist::run_count_solve(net, query_.formula, query_.vars, tree,
+                                   bags, &*engine_,
+                                   &std::get<dist::CountingCache>(cache_)));
+        break;
+      case Pipeline::kMaximize:
+        take(dist::run_maximize_solve(net, query_.formula, query_.var,
+                                      query_.var_sort, tree, bags, &*engine_));
+        break;
+      case Pipeline::kMinimize:
+        take(dist::run_minimize_solve(net, query_.formula, query_.var,
+                                      query_.var_sort, tree, bags, &*engine_));
+        break;
+      case Pipeline::kOptMarked:
+        take(dist::run_optmarked_solve(net, query_.formula, query_.var,
+                                       query_.var_sort, tree, bags,
+                                       query_.minimize_marked));
+        break;
     }
-    case Pipeline::kCount: {
-      const dist::CountingOutcome r = dist::run_count_solve(
-          net, query_.formula, query_.vars, tree, bags, &*engine_, &ccache_);
-      out.run = r.run;
-      out.folds = r.folds;
-      out.verdict.count = r.count;
-      break;
-    }
-    case Pipeline::kMaximize:
-    case Pipeline::kMinimize: {
-      const dist::OptimizationOutcome r =
-          query_.pipeline == Pipeline::kMaximize
-              ? dist::run_maximize_solve(net, query_.formula, query_.var,
-                                         query_.var_sort, tree, bags,
-                                         &*engine_)
-              : dist::run_minimize_solve(net, query_.formula, query_.var,
-                                         query_.var_sort, tree, bags,
-                                         &*engine_);
-      out.run = r.run;
-      out.verdict.feasible = r.best_weight.has_value();
-      out.verdict.best_weight = r.best_weight.value_or(0);
-      break;
-    }
-    case Pipeline::kOptMarked: {
-      const dist::OptMarkedOutcome r = dist::run_optmarked_solve(
-          net, query_.formula, query_.var, query_.var_sort, tree, bags,
-          query_.minimize_marked);
-      out.run = r.run;
-      out.verdict.satisfies = r.satisfies;
-      out.verdict.is_optimal = r.is_optimal;
-      out.verdict.marked_weight = r.marked_weight;
-      out.verdict.best_weight = r.best_weight;
-      break;
-    }
+  } catch (const std::invalid_argument& e) {
+    // The BPT engine rejects a bag wider than it can represent (a repaired
+    // tree may be deeper than bpt::kMaxTerminals allows): no verdict.
+    out.status = StepStatus::kDegraded;
+    out.note = std::string("engine rejected a bag: ") + e.what();
+    out.flight = net.flight_recorder().dump_string();
+    return out;
   }
   out.rounds = out.run.rounds;
   out.status =
@@ -281,47 +254,38 @@ StepOutcome ChurnEngine::solve(congest::Network& net,
 
 StepOutcome ChurnEngine::full_compute(const congest::NetworkConfig& cfg) {
   bump(opts_.net, "churn.full_recomputes");
+  // Fold-all: only a completed solve refreshes the cache and keeps a tree.
+  tree_.reset();
+  invalidate_caches();
   StepOutcome out;
   congest::Network net(graph_, cfg);
   const dist::ElimTreeResult tree = dist::run_elim_tree(net, opts_.d);
   out.run = tree.run;
   out.rounds = tree.rounds;
-  if (!tree.run.ok()) {
-    out.status = StepStatus::kDegraded;
-    out.flight = net.flight_recorder().dump_string();
-    tree_.reset();
-    invalidate_caches();
-    return out;
-  }
-  if (!tree.success) {
+  if (tree.run.ok() && !tree.success) {
     out.status = StepStatus::kRecomputed;
     out.verdict.treedepth_exceeded = true;
     out.digest = out.verdict.digest(query_.pipeline);
-    tree_.reset();
-    invalidate_caches();
     return out;
   }
-  const dist::BagsResult bags = dist::run_bags(net, tree, vlabels_, elabels_);
-  out.run = bags.run;
-  out.rounds += bags.rounds;
-  if (!bags.run.ok()) {
-    out.status = StepStatus::kDegraded;
-    out.flight = net.flight_recorder().dump_string();
-    tree_.reset();
-    invalidate_caches();
-    return out;
+  if (tree.run.ok()) {
+    const dist::BagsResult bags =
+        dist::run_bags(net, tree, vlabels_, elabels_);
+    out.run = bags.run;
+    out.rounds += bags.rounds;
+    if (bags.run.ok()) {
+      StepOutcome solved = solve(net, tree, bags.bags);
+      solved.rounds += out.rounds;
+      if (!solved.ok()) return solved;  // status kDegraded from solve()
+      tree_ = tree;
+      solved.status = StepStatus::kRecomputed;
+      solved.refold_count = graph_.num_vertices();
+      return solved;
+    }
   }
-  invalidate_caches();  // fold-all: the seams refresh the caches on success
-  StepOutcome solved = solve(net, tree, bags.bags);
-  solved.rounds += out.rounds;
-  if (!solved.run.ok()) {
-    tree_.reset();
-    return solved;  // status kDegraded from solve()
-  }
-  tree_ = tree;
-  solved.status = StepStatus::kRecomputed;
-  solved.refold_count = graph_.num_vertices();
-  return solved;
+  out.status = StepStatus::kDegraded;
+  out.flight = net.flight_recorder().dump_string();
+  return out;
 }
 
 void ChurnEngine::verify_step(StepOutcome& out) {
@@ -371,53 +335,32 @@ void ChurnEngine::oracle_run(int budget, VerdictSummary& oracle,
   congest::NetworkConfig clean;
   clean.id_seed = opts_.net.id_seed;
   congest::Network net(graph_, clean);
+  auto take = [&](const auto& r) {
+    orun = r.run;
+    orounds = r.total_rounds();
+    oracle.treedepth_exceeded = r.treedepth_exceeded;
+    record_verdict(r, oracle);
+  };
   switch (query_.pipeline) {
-    case Pipeline::kDecision: {
-      const dist::DecisionOutcome r =
-          dist::run_decision(net, query_.formula, budget);
-      orun = r.run;
-      orounds = r.total_rounds();
-      oracle.treedepth_exceeded = r.treedepth_exceeded;
-      oracle.holds = r.holds;
+    case Pipeline::kDecision:
+      take(dist::run_decision(net, query_.formula, budget));
       break;
-    }
-    case Pipeline::kCount: {
-      const dist::CountingOutcome r =
-          dist::run_count(net, query_.formula, query_.vars, budget);
-      orun = r.run;
-      orounds = r.total_rounds();
-      oracle.treedepth_exceeded = r.treedepth_exceeded;
-      oracle.count = r.count;
+    case Pipeline::kCount:
+      take(dist::run_count(net, query_.formula, query_.vars, budget));
       break;
-    }
     case Pipeline::kMaximize:
-    case Pipeline::kMinimize: {
-      const dist::OptimizationOutcome r =
-          query_.pipeline == Pipeline::kMaximize
-              ? dist::run_maximize(net, query_.formula, query_.var,
-                                   query_.var_sort, budget)
-              : dist::run_minimize(net, query_.formula, query_.var,
-                                   query_.var_sort, budget);
-      orun = r.run;
-      orounds = r.total_rounds();
-      oracle.treedepth_exceeded = r.treedepth_exceeded;
-      oracle.feasible = r.best_weight.has_value();
-      oracle.best_weight = r.best_weight.value_or(0);
+      take(dist::run_maximize(net, query_.formula, query_.var,
+                              query_.var_sort, budget));
       break;
-    }
-    case Pipeline::kOptMarked: {
-      const dist::OptMarkedOutcome r =
-          dist::run_optmarked(net, query_.formula, query_.var, query_.var_sort,
-                              budget, query_.minimize_marked);
-      orun = r.run;
-      orounds = r.total_rounds();
-      oracle.treedepth_exceeded = r.treedepth_exceeded;
-      oracle.satisfies = r.satisfies;
-      oracle.is_optimal = r.is_optimal;
-      oracle.marked_weight = r.marked_weight;
-      oracle.best_weight = r.best_weight;
+    case Pipeline::kMinimize:
+      take(dist::run_minimize(net, query_.formula, query_.var,
+                              query_.var_sort, budget));
       break;
-    }
+    case Pipeline::kOptMarked:
+      take(dist::run_optmarked(net, query_.formula, query_.var,
+                               query_.var_sort, budget,
+                               query_.minimize_marked));
+      break;
   }
 }
 
@@ -438,7 +381,8 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
     // to repair against; full recompute on the mutated graph.
     graph_ = std::move(next);
     StepOutcome out = full_compute(solve_config());
-    out.note = "no tree from previous epoch: full recompute";
+    out.note = join_notes("no tree from previous epoch: full recompute",
+                          out.note);
     if (!out.ok()) bump(opts_.net, "churn.degraded");
     verify_step(out);
     return out;
@@ -455,7 +399,7 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
     out = full_compute(solve_config());
     out.repair = RepairKind::kFailed;
     out.repair_failed = true;
-    out.note = patch.reason;
+    out.note = join_notes(patch.reason, out.note);
   } else {
     const int n = graph_.num_vertices();
     remap_caches(old_to_new, n);
@@ -469,12 +413,10 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
       for (int x = v; x >= 0 && !refold[x]; x = patch.tree.parent[x])
         refold[x] = 1;
     }
-    for (int v = 0; v < n; ++v) {
-      if (refold[v]) {
-        dcache_.refold[v] = 1;
-        ccache_.refold[v] = 1;
-      }
-    }
+    std::vector<char>& flags = std::visit(
+        [](auto& cache) -> std::vector<char>& { return cache.refold; }, cache_);
+    for (int v = 0; v < n; ++v)
+      if (refold[v]) flags[v] = 1;
 
     congest::Network net(graph_, solve_config());
     // Cached tables are positional over bags ordered by network id; if the
@@ -485,15 +427,7 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
     for (int v = 0; v < n && ids_stable; ++v)
       if (net_ids_[v] >= 0 && net_ids_[v] != net.id_of_vertex(v))
         ids_stable = false;
-    if (!ids_stable) {
-      std::fill(dcache_.refold.begin(), dcache_.refold.end(), 1);
-      std::fill(ccache_.refold.begin(), ccache_.refold.end(), 1);
-    }
-    // Report from the cache this pipeline actually refreshes (the other
-    // one's flags stay set and would always read n).
-    const std::vector<char>& flags = query_.pipeline == Pipeline::kCount
-                                         ? ccache_.refold
-                                         : dcache_.refold;
+    if (!ids_stable) std::fill(flags.begin(), flags.end(), 1);
     out.refold_count = static_cast<int>(std::count(flags.begin(), flags.end(), 1));
 
     const std::vector<dist::LocalBag> bags =
@@ -503,12 +437,17 @@ StepOutcome ChurnEngine::step(const std::vector<ChurnEvent>& batch) {
     solved.repair = patch.kind;
     solved.region = patch.region;
     out = std::move(solved);
-    if (out.run.ok()) {
+    if (out.ok()) {
       out.status = patch.kind == RepairKind::kRefold ? StepStatus::kRefolded
                                                      : StepStatus::kRebuilt;
       tree_ = patch.tree;
       bump(opts_.net, out.status == StepStatus::kRefolded ? "churn.refolds"
                                                           : "churn.rebuilds");
+    } else if (out.run.ok()) {
+      // The engine rejected a repaired bag; a retry on the same tree
+      // shape cannot help. Drop the tree so the next epoch recomputes.
+      tree_.reset();
+      invalidate_caches();
     } else if (opts_.fallback_full) {
       // Faults defeated the incremental solve; recover with a full
       // distributed recompute under the same fault plan.

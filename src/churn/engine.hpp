@@ -28,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "bpt/engine.hpp"
@@ -164,7 +165,8 @@ class ChurnEngine {
   /// tree_ and the caches on success.
   StepOutcome full_compute(const congest::NetworkConfig& cfg);
   /// Solve phase over (tree, bags) on `net` (caches always supplied; a
-  /// full recompute simply has every refold flag set).
+  /// full recompute simply has every refold flag set). An engine that
+  /// rejects a bag ends the epoch kDegraded with a completed `run`.
   StepOutcome solve(congest::Network& net, const dist::ElimTreeResult& tree,
                     const std::vector<dist::LocalBag>& bags);
   void verify_step(StepOutcome& out);
@@ -177,8 +179,10 @@ class ChurnEngine {
   std::optional<bpt::Engine> engine_;  // warm universe (all but optmarked)
   std::vector<std::string> vlabels_, elabels_;
   std::optional<dist::ElimTreeResult> tree_;
-  dist::DecisionCache dcache_;
-  dist::CountingCache ccache_;
+  // Per-vertex fold cache of the pipeline: COUNT tables for kCount,
+  // classes otherwise. Only the decision and counting seams replay it; the
+  // optimization seams keep every refold flag set (refold_count reads n).
+  std::variant<dist::DecisionCache, dist::CountingCache> cache_;
   // Network id per graph vertex at the last cache-refreshing solve (-1 =
   // unknown / fresh vertex). Bags are ordered by network id and cached
   // tables are positional, so a reshuffled id assignment (any vertex

@@ -47,9 +47,6 @@ const bool kCorruptedPayloadCodec = [] {
          audit::BitWriter&) {},
       [](const audit::WireContext&, audit::BitReader&) {
         return CorruptedPayload{};
-      },
-      [](const CorruptedPayload& a, const CorruptedPayload& b) {
-        return a == b;
       });
   return true;
 }();

@@ -51,6 +51,7 @@ class LeaderProgram : public NodeProgram {
 struct BfsMsg {
   VertexId root = -1;
   int dist = 0;
+  bool operator==(const BfsMsg&) const = default;
 };
 
 class BfsProgram : public NodeProgram {
@@ -136,6 +137,7 @@ class DownProgram : public NodeProgram {
 struct UpMsg {
   std::int64_t sum = 0;
   std::int64_t max = 0;
+  bool operator==(const UpMsg&) const = default;
 };
 
 /// Convergecast (sum, max) followed by a broadcast of the result.
@@ -247,9 +249,6 @@ std::pair<std::int64_t, std::int64_t> get_sum_max(audit::BitReader& r) {
         m.root = static_cast<VertexId>(r.get_uint(id_bits(ctx.n)));
         m.dist = static_cast<int>(r.get_uint(count_bits(ctx.n)));
         return m;
-      },
-      [](const BfsMsg& a, const BfsMsg& b) {
-        return a.root == b.root && a.dist == b.dist;
       });
   audit::register_codec<UpMsg>(
       "primitives::UpMsg",
@@ -259,9 +258,6 @@ std::pair<std::int64_t, std::int64_t> get_sum_max(audit::BitReader& r) {
       [](const audit::WireContext&, audit::BitReader& r) {
         const auto [sum, max] = get_sum_max(r);
         return UpMsg{sum, max};
-      },
-      [](const UpMsg& a, const UpMsg& b) {
-        return a.sum == b.sum && a.max == b.max;
       });
   audit::register_codec<std::pair<std::int64_t, std::int64_t>>(
       "primitives::DownResult",
@@ -271,9 +267,7 @@ std::pair<std::int64_t, std::int64_t> get_sum_max(audit::BitReader& r) {
       },
       [](const audit::WireContext&, audit::BitReader& r) {
         return get_sum_max(r);
-      },
-      [](const std::pair<std::int64_t, std::int64_t>& a,
-         const std::pair<std::int64_t, std::int64_t>& b) { return a == b; });
+      });
   return true;
 }();
 

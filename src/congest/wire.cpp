@@ -274,8 +274,7 @@ std::int64_t apply_sign(bool neg, std::uint64_t mag) {
       },
       [](const WireContext& ctx, BitReader& r) {
         return static_cast<VertexId>(r.get_uint(congest::id_bits(ctx.n)));
-      },
-      [](const VertexId& a, const VertexId& b) { return a == b; });
+      });
   register_codec<std::int64_t>(
       "congest::value",
       [](const std::int64_t& v, const WireContext&, BitWriter& w) {
@@ -285,8 +284,7 @@ std::int64_t apply_sign(bool neg, std::uint64_t mag) {
       [](const WireContext&, BitReader& r) {
         const bool neg = r.get_bit();
         return apply_sign(neg, r.get_rest());
-      },
-      [](const std::int64_t& a, const std::int64_t& b) { return a == b; });
+      });
   return true;
 }();
 

@@ -118,9 +118,11 @@ std::string payload_type_name(const std::any& value);
 
 /// Typed registration helper; `Enc`/`Dec`/`Eq` are any callables with
 /// signatures void(const T&, const WireContext&, BitWriter&),
-/// T(const WireContext&, BitReader&), bool(const T&, const T&).
-template <typename T, typename Enc, typename Dec, typename Eq>
-void register_codec(std::string name, Enc enc, Dec dec, Eq eq) {
+/// T(const WireContext&, BitReader&), bool(const T&, const T&). `Eq`
+/// defaults to T's operator==.
+template <typename T, typename Enc, typename Dec,
+          typename Eq = std::equal_to<T>>
+void register_codec(std::string name, Enc enc, Dec dec, Eq eq = {}) {
   WireCodec codec;
   codec.name = std::move(name);
   codec.encode = [enc](const std::any& v, const WireContext& ctx,

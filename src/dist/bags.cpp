@@ -63,18 +63,6 @@ using congest::NodeCtx;
           m.edges.push_back(e);
         }
         return m;
-      },
-      [](const LocalBag& a, const LocalBag& b) {
-        auto edge_eq = [](const LocalBag::BagEdge& x,
-                          const LocalBag::BagEdge& y) {
-          return x.i == y.i && x.j == y.j && x.weight == y.weight &&
-                 x.elabel_bits == y.elabel_bits;
-        };
-        return a.bag == b.bag && a.weights == b.weights &&
-               a.vlabel_bits == b.vlabel_bits &&
-               a.edges.size() == b.edges.size() &&
-               std::equal(a.edges.begin(), a.edges.end(), b.edges.begin(),
-                          edge_eq);
       });
   return true;
 }();

@@ -27,8 +27,11 @@ struct LocalBag {
     int i = 0, j = 0;  // indices into `bag`, i < j
     Weight weight = 1;
     std::uint32_t elabel_bits = 0;
+    bool operator==(const BagEdge&) const = default;
   };
   std::vector<BagEdge> edges;  // G[B], ordered lexicographically
+
+  bool operator==(const LocalBag&) const = default;
 
   /// Declared wire size in bits.
   long wire_bits(int n) const;

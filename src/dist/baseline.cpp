@@ -19,14 +19,17 @@ struct BfsMsg {
   VertexId root = -1;
   int dist = 0;
   VertexId parent = -1;  // the sender's current BFS parent
+  bool operator==(const BfsMsg&) const = default;
 };
 
 struct EdgeListPayload {
   std::vector<std::pair<VertexId, VertexId>> edges;  // global id pairs
+  bool operator==(const EdgeListPayload&) const = default;
 };
 
 struct VerdictMsg {
   bool holds = false;
+  bool operator==(const VerdictMsg&) const = default;
 };
 
 /// Wire codecs (audit mode). BfsMsg packs root (id field), dist (a BFS
@@ -53,9 +56,6 @@ struct VerdictMsg {
             congest::count_bits(static_cast<std::uint64_t>(ctx.n))));
         m.parent = r.get_bit() ? static_cast<VertexId>(r.get_uint(id_bits)) : -1;
         return m;
-      },
-      [](const BfsMsg& a, const BfsMsg& b) {
-        return a.root == b.root && a.dist == b.dist && a.parent == b.parent;
       });
   audit::register_codec<EdgeListPayload>(
       "baseline::EdgeListPayload",
@@ -78,9 +78,6 @@ struct VerdictMsg {
           m.edges.emplace_back(a, b);
         }
         return m;
-      },
-      [](const EdgeListPayload& a, const EdgeListPayload& b) {
-        return a.edges == b.edges;
       });
   audit::register_codec<VerdictMsg>(
       "baseline::VerdictMsg",
@@ -89,9 +86,6 @@ struct VerdictMsg {
       },
       [](const audit::WireContext&, audit::BitReader& r) {
         return VerdictMsg{r.get_bit()};
-      },
-      [](const VerdictMsg& a, const VerdictMsg& b) {
-        return a.holds == b.holds;
       });
   return true;
 }();

@@ -1,31 +1,57 @@
 #include "dist/counting.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
 #include "bpt/tables.hpp"
-#include "congest/fragment.hpp"
 #include "congest/wire.hpp"
-#include "dist/bags.hpp"
-#include "dist/child_slots.hpp"
-#include "dist/elim_tree.hpp"
-#include "dist/local.hpp"
 #include "mso/lower.hpp"
 
 namespace dmc::dist {
 
 namespace {
 
-using congest::Message;
-using congest::NodeCtx;
-
-struct CountTablePayload {
-  bpt::CountTable table;
-};
-
 struct TotalMsg {
   std::uint64_t total = 0;
+  bool operator==(const TotalMsg&) const = default;
+};
+
+/// The COUNT (+,x) algebra: a node's summary is its root COUNT table; the
+/// root sums the counts of accepting classes and broadcasts the total.
+struct CountAlgebra {
+  using Summary = bpt::CountTable;
+  using Down = std::uint64_t;
+  struct Node {};
+  static constexpr bool kTables = true;
+  static constexpr const char* kUpMark = "tables";
+  static constexpr const char* kDownMark = "total";
+
+  CountAlgebra(bpt::Engine& engine, const mso::FormulaPtr& lowered,
+               const Frees& vars)
+      : engine(engine), evaluator(engine, lowered, vars) {}
+
+  Summary fold(Node&, const LocalContext& local, VertexId,
+               std::vector<Summary>&& children) {
+    auto tables =
+        bpt::fold_count(engine, local.plan, local.graph, std::move(children));
+    return std::move(tables[local.plan.root]);
+  }
+  Down root(Node&, const Summary& table) {
+    return bpt::count_accepting(table, evaluator);
+  }
+  static std::optional<Down> down_of(const std::any& value) {
+    if (const auto* m = std::any_cast<TotalMsg>(&value)) return m->total;
+    return std::nullopt;
+  }
+  /// A total wider than the bandwidth is fragmented by the skeleton.
+  template <class Send>
+  void send_down(Node&, const Down& total, std::size_t children, Send send) {
+    for (std::size_t i = 0; i < children; ++i)
+      send(i, TotalMsg{total}, congest::count_bits(total));
+  }
+
+  bpt::Engine& engine;
+  bpt::Evaluator evaluator;
 };
 
 /// Wire codecs (audit mode). Count tables declare their *measured*
@@ -33,27 +59,16 @@ struct TotalMsg {
 /// entry); TotalMsg's counter is the frame's only field and is sent
 /// minimal-width, which is exactly the declared count_bits(total).
 [[maybe_unused]] const bool wire_codecs_registered = [] {
+  using CountTablePayload = UpMsg<CountAlgebra>;
   audit::register_codec<CountTablePayload>(
       "counting::CountTablePayload",
       [](const CountTablePayload& m, const audit::WireContext&,
          audit::BitWriter& w) {
-        w.put_varuint(m.table.size());
-        for (const auto& [c, count] : m.table) {
-          w.put_varuint(static_cast<std::uint64_t>(c));
-          w.put_varuint(count);
-        }
+        put_table(w, m.value, [&](std::uint64_t c) { w.put_varuint(c); });
       },
       [](const audit::WireContext&, audit::BitReader& r) {
-        CountTablePayload m;
-        const std::uint64_t size = r.get_varuint();
-        for (std::uint64_t i = 0; i < size; ++i) {
-          const auto c = static_cast<bpt::TypeId>(r.get_varuint());
-          m.table[c] = r.get_varuint();
-        }
-        return m;
-      },
-      [](const CountTablePayload& a, const CountTablePayload& b) {
-        return a.table == b.table;
+        return CountTablePayload{
+            get_table<bpt::CountTable>(r, [&] { return r.get_varuint(); })};
       });
   audit::register_codec<TotalMsg>(
       "counting::TotalMsg",
@@ -62,240 +77,51 @@ struct TotalMsg {
       },
       [](const audit::WireContext&, audit::BitReader& r) {
         return TotalMsg{r.get_rest()};
-      },
-      [](const TotalMsg& a, const TotalMsg& b) { return a.total == b.total; });
+      });
   return true;
 }();
 
-long table_bits(const CountTablePayload& payload, const NodeCtx& ctx) {
-  return audit::measured_bits(payload,
-                              audit::WireContext{ctx.n(), ctx.bandwidth()});
-}
-
-class CountingProgram : public congest::NodeProgram {
- public:
-  CountingProgram(bpt::Engine& engine, bpt::Evaluator* evaluator,
-                  LocalContext lctx, VertexId parent_id,
-                  std::vector<VertexId> children_ids)
-      : engine_(engine),
-        evaluator_(evaluator),
-        local_(std::move(lctx)),
-        parent_id_(parent_id),
-        children_ids_(std::move(children_ids)),
-        child_slots_(children_ids_) {
-    child_tables_.resize(children_ids_.size());
-    have_table_.assign(children_ids_.size(), false);
-  }
-
-  /// Incremental refold (churn engine): replay `cached` instead of folding.
-  /// `send_up` is false when the parent replays its own cached table too
-  /// (it will never read this node's table), saving the upward fragments.
-  void set_cached(bpt::CountTable cached, bool send_up) {
-    cached_ = std::move(cached);
-    have_cached_ = true;
-    send_up_ = send_up;
-  }
-
-  bool finished() const { return finished_; }
-  std::uint64_t total() const { return total_; }
-  const bpt::CountTable& root_table() const { return root_table_; }
-  bool folded() const { return folded_; }
-
-  void on_round(NodeCtx& ctx) override {
-    if (first_round_) {
-      first_round_ = false;
-      ctx.annotate("tables");
-    }
-    for (int p = 0; p < ctx.degree(); ++p) {
-      const VertexId from = ctx.neighbor_id(p);
-      if (auto payload = reasm_.poll(ctx, p)) {
-        const auto& tp = std::any_cast<const CountTablePayload&>(*payload);
-        const int slot = child_slots_.slot(from);
-        if (slot >= 0) {
-          child_tables_[slot] = tp.table;
-          have_table_[slot] = true;
-        }
-        continue;
-      }
-      const auto& msg = ctx.recv(p);
-      if (!msg) continue;
-      if (const auto* tm = std::any_cast<TotalMsg>(&msg->value)) {
-        if (from == parent_id_ && !finished_) {
-          total_ = tm->total;
-          finished_ = true;
-          forward_total(ctx);
-        }
-      }
-    }
-    if (!solved_ &&
-        (have_cached_ || std::all_of(have_table_.begin(), have_table_.end(),
-                                     [](bool b) { return b; }))) {
-      solved_ = true;
-      if (have_cached_) {
-        root_table_ = cached_;
-      } else {
-        const auto tables =
-            bpt::fold_count(engine_, local_.plan, local_.graph, child_tables_);
-        root_table_ = tables[local_.plan.root];
-        folded_ = true;
-      }
-      if (parent_id_ < 0) {
-        total_ = 0;
-        for (const auto& [t, c] : root_table_) {
-          if (!evaluator_->eval(t)) continue;
-          if (__builtin_add_overflow(total_, c, &total_))
-            throw std::overflow_error("run_count: overflow");
-        }
-        finished_ = true;
-        forward_total(ctx);
-      } else if (send_up_) {
-        CountTablePayload payload{root_table_};
-        const long bits = table_bits(payload, ctx);
-        sender_.enqueue(ctx.port_of(parent_id_), std::move(payload), bits);
-      }
-    }
-    sender_.pump(ctx);
-    // Blocked on children's table chunks or the parent's total — both
-    // arrive as traffic, which wakes us (sparse scheduler; no-op otherwise).
-    if (!finished_ && sender_.idle()) ctx.sleep();
-  }
-
-  bool done(const NodeCtx&) const override {
-    return finished_ && sender_.idle();
-  }
-
- private:
-  void forward_total(NodeCtx& ctx) {
-    ctx.annotate("total");
-    for (VertexId child : children_ids_)
-      ctx.send(ctx.port_of(child),
-               Message(TotalMsg{total_}, congest::count_bits(total_)));
-  }
-
-  bpt::Engine& engine_;
-  bpt::Evaluator* evaluator_;
-  LocalContext local_;
-  VertexId parent_id_;
-  std::vector<VertexId> children_ids_;
-  ChildSlots child_slots_;
-  std::vector<bpt::CountTable> child_tables_;
-  std::vector<bool> have_table_;
-  congest::FragmentSender sender_;
-  congest::FragmentReassembler reasm_;
-  bpt::CountTable cached_;
-  bpt::CountTable root_table_;
-  bool have_cached_ = false;
-  bool send_up_ = true;
-  bool folded_ = false;
-  bool first_round_ = true;
-  bool solved_ = false;
-  bool finished_ = false;
-  std::uint64_t total_ = 0;
-};
-
 }  // namespace
 
-CountingOutcome run_count_solve(
-    congest::Network& net, const mso::FormulaPtr& formula,
-    const std::vector<std::pair<std::string, mso::Sort>>& vars,
-    const ElimTreeResult& tree, const std::vector<LocalBag>& bags,
-    bpt::Engine* engine_in, CountingCache* cache) {
+CountingOutcome run_count_solve(congest::Network& net,
+                                const mso::FormulaPtr& formula,
+                                const Frees& vars, const ElimTreeResult& tree,
+                                const std::vector<LocalBag>& bags,
+                                bpt::Engine* engine_in, CountingCache* cache) {
   CountingOutcome out;
   const mso::FormulaPtr lowered = mso::lower(formula, vars);
   std::optional<bpt::Engine> own_engine;
-  if (engine_in == nullptr) {
-    own_engine.emplace(bpt::config_for(*lowered, vars));
-    engine_in = &*own_engine;
-  }
-  bpt::Engine& engine = *engine_in;
-  bpt::Evaluator evaluator(engine, lowered, vars);
-  if (!tree.success)
-    throw std::invalid_argument("run_count_solve: tree invalid");
+  bpt::Engine& engine = engine_or_own(engine_in, own_engine, *lowered, vars);
+  CountAlgebra algebra(engine, lowered, vars);
   const auto& cfg = engine.config();
-
-  congest::PhaseScope trace_scope(net, "count");
-  const bool incremental =
-      cache != nullptr &&
-      cache->refold.size() == static_cast<std::size_t>(net.n()) &&
-      cache->tables.size() == static_cast<std::size_t>(net.n()) &&
-      cache->valid.size() == static_cast<std::size_t>(net.n());
-  auto replay = [&](int v) {  // clean vertex with a usable cached table
-    return incremental && !cache->refold[v] && cache->valid[v];
-  };
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  std::vector<CountingProgram*> handles;
-  for (int v = 0; v < net.n(); ++v) {
-    std::vector<VertexId> children_ids;
-    for (int c : tree.children[v]) children_ids.push_back(net.id_of_vertex(c));
-    LocalContext lctx = make_local_context(bags[v], children_ids,
-                                           cfg.vertex_labels, cfg.edge_labels);
-    auto p = std::make_unique<CountingProgram>(
-        engine, &evaluator, std::move(lctx),
-        tree.parent[v] < 0 ? -1 : net.id_of_vertex(tree.parent[v]),
-        std::move(children_ids));
-    if (replay(v)) {
-      const int parent = tree.parent[v];
-      p->set_cached(cache->tables[v], parent >= 0 && !replay(parent));
-    }
-    handles.push_back(p.get());
-    programs.push_back(std::move(p));
-  }
-  {
-    // COUNT payloads declare their measured varuint encoding of class-id
-    // values, which depend on the interning schedule; keep the solve phase
-    // on the exact serial path regardless of --threads.
-    congest::Network::SerialSection serial(net);
-    out.run = net.run_outcome(programs);
-  }
-  out.rounds_solve = out.run.rounds;
+  const TreeFold<CountAlgebra> fold = run_tree_fold(
+      net, algebra, tree, bags, {"count", cfg.vertex_labels, cfg.edge_labels},
+      cache);
+  out.run = fold.run;
+  out.rounds_solve = fold.run.rounds;
   out.num_classes = engine.num_types();
   if (!out.run.ok()) return out;  // degraded: count untrusted
-  for (const auto* h : handles) out.folds += h->folded() ? 1 : 0;
-  out.count = handles[0]->total();
-  for (const auto* h : handles)
-    if (h->total() != out.count)
+  out.folds = fold.folds();
+  out.count = *fold.at(0).down();
+  for (int v = 0; v < net.n(); ++v)
+    if (*fold.at(v).down() != out.count)
       throw std::logic_error("run_count: inconsistent totals");
-  if (cache != nullptr) {
-    cache->tables.assign(net.n(), bpt::CountTable{});
-    cache->valid.assign(net.n(), 1);
-    for (int v = 0; v < net.n(); ++v) cache->tables[v] = handles[v]->root_table();
-    cache->refold.assign(net.n(), 0);
-  }
   return out;
 }
 
-CountingOutcome run_count(
-    congest::Network& net, const mso::FormulaPtr& formula,
-    const std::vector<std::pair<std::string, mso::Sort>>& vars, int d,
-    bpt::Engine* engine_in, const ElimTreeOptions& tree_opts) {
-  CountingOutcome out;
-  const mso::FormulaPtr lowered = mso::lower(formula, vars);
+CountingOutcome run_count(congest::Network& net,
+                          const mso::FormulaPtr& formula, const Frees& vars,
+                          int d, bpt::Engine* engine_in,
+                          const ElimTreeOptions& tree_opts) {
   std::optional<bpt::Engine> own_engine;
-  if (engine_in == nullptr) {
-    own_engine.emplace(bpt::config_for(*lowered, vars));
-    engine_in = &*own_engine;
-  }
-
-  const ElimTreeResult tree = run_elim_tree(net, d, tree_opts);
-  out.rounds_elim = tree.rounds;
-  out.run = tree.run;
-  if (!tree.run.ok()) return out;  // degraded: not a treedepth verdict
-  if (!tree.success) {
-    out.treedepth_exceeded = true;
-    return out;
-  }
-  const auto& cfg = engine_in->config();
-  const BagsResult bags =
-      run_bags(net, tree, cfg.vertex_labels, cfg.edge_labels);
-  out.rounds_bags = bags.rounds;
-  out.run = bags.run;
-  if (!bags.run.ok()) return out;  // degraded: bags incomplete
-
-  CountingOutcome solved =
-      run_count_solve(net, formula, vars, tree, bags.bags, engine_in, nullptr);
-  solved.rounds_elim = out.rounds_elim;
-  solved.rounds_bags = out.rounds_bags;
-  return solved;
+  bpt::Engine& engine =
+      engine_or_own(engine_in, own_engine, *mso::lower(formula, vars), vars);
+  const auto& cfg = engine.config();
+  return run_pipeline<CountingOutcome>(
+      net, d, tree_opts, cfg.vertex_labels, cfg.edge_labels,
+      [&](const ElimTreeResult& tree, const std::vector<LocalBag>& bags) {
+        return run_count_solve(net, formula, vars, tree, bags, &engine);
+      });
 }
 
 }  // namespace dmc::dist

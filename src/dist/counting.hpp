@@ -17,6 +17,7 @@
 #include "congest/network.hpp"
 #include "dist/bags.hpp"
 #include "dist/elim_tree.hpp"
+#include "dist/tree_fold.hpp"
 #include "mso/ast.hpp"
 
 namespace dmc::dist {
@@ -34,14 +35,8 @@ struct CountingOutcome {
 };
 
 /// Incremental-refold state for the churn engine: per-vertex root COUNT
-/// tables carried across epochs (same contract as dist::DecisionCache —
-/// clean vertices replay their table without a fold and skip the upward
-/// payload unless the parent refolds).
-struct CountingCache {
-  std::vector<bpt::CountTable> tables;  // by graph vertex
-  std::vector<char> valid;              // by graph vertex: table usable
-  std::vector<char> refold;             // by graph vertex; empty = fold all
-};
+/// tables (see FoldCache).
+using CountingCache = FoldCache<bpt::CountTable>;
 
 /// Counts satisfying assignments of the free variables (slot order =
 /// `vars`) distributively, with treedepth budget d. When `engine` is

@@ -1,15 +1,9 @@
 #include "dist/decision.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 #include "bpt/tables.hpp"
 #include "congest/wire.hpp"
-#include "dist/bags.hpp"
-#include "dist/child_slots.hpp"
-#include "dist/elim_tree.hpp"
-#include "dist/local.hpp"
 #include "mso/lower.hpp"
 #include "par/pool.hpp"
 
@@ -17,39 +11,79 @@ namespace dmc::dist {
 
 namespace {
 
-using congest::Message;
-using congest::NodeCtx;
-
-struct ClassMsg {
-  bpt::TypeId type = bpt::kInvalidType;
-};
-
-struct VerdictMsg {
-  bool holds = false;
-};
-
 int bits_for_count(std::size_t num_types) {
   return std::max(1,
                   congest::count_bits(static_cast<std::uint64_t>(num_types)));
 }
 
-int class_bits(const bpt::Engine& engine) {
-  return bits_for_count(engine.num_types());
-}
+struct VerdictMsg {
+  bool holds = false;
+  bool operator==(const VerdictMsg&) const = default;
+};
+
+/// The class algebra: a node's summary is the homomorphism class of its
+/// subtree; the root evaluates it and broadcasts the 1-bit verdict.
+struct DecisionAlgebra {
+  using Summary = bpt::TypeId;
+  using Down = bool;
+  struct Node {};
+  static constexpr bool kTables = false;
+  static constexpr const char* kUpMark = "fold";
+  static constexpr const char* kDownMark = "verdict";
+
+  DecisionAlgebra(bpt::Engine& engine, const mso::FormulaPtr& lowered)
+      : engine(engine),
+        evaluator(engine, lowered),
+        types_at_round_start(engine.num_types()) {}
+
+  Summary fold(Node&, const LocalContext& local, VertexId,
+               std::vector<Summary>&& children) {
+    return bpt::fold_type(engine, local.plan, local.graph, children);
+  }
+  Down root(Node&, const Summary& c) { return evaluator.eval(c); }
+  static std::optional<Down> down_of(const std::any& value) {
+    if (const auto* m = std::any_cast<VerdictMsg>(&value)) return m->holds;
+    return std::nullopt;
+  }
+  template <class Send>
+  void send_down(Node&, const Down& holds, std::size_t children, Send send) {
+    for (std::size_t i = 0; i < children; ++i) send(i, VerdictMsg{holds}, 1);
+  }
+
+  /// Round-start universe snapshot for schedule-independent class widths.
+  void round_begin() { types_at_round_start = engine.num_types(); }
+  /// Declared width must be schedule-independent under parallel stepping
+  /// (send-time num_types depends on the interning schedule), so it is
+  /// sized from the round-start universe snapshot. The declaration is cost
+  /// accounting only; the simulator ships the value itself either way.
+  /// Audit mode steps serially and keeps the send-time width so wire
+  /// re-encoding checks the exact declared frame.
+  int up_bits(const congest::NodeCtx& ctx) {
+    const int bits = bits_for_count(ctx.audited() ? engine.num_types()
+                                                  : types_at_round_start);
+    par::atomic_fetch_max(max_class_bits, bits);
+    return bits;
+  }
+
+  bpt::Engine& engine;
+  bpt::Evaluator evaluator;
+  std::size_t types_at_round_start;
+  int max_class_bits = 0;
+};
 
 /// Wire codecs (audit mode). A class id is the frame's only field, so it
 /// is sent minimal-width and sized from the frame end on decode; its
 /// minimal width never exceeds the declared class_bits (type < num_types).
 [[maybe_unused]] const bool wire_codecs_registered = [] {
+  using ClassMsg = UpMsg<DecisionAlgebra>;
   audit::register_codec<ClassMsg>(
       "decision::ClassMsg",
       [](const ClassMsg& m, const audit::WireContext&, audit::BitWriter& w) {
-        w.put_uint_min(static_cast<std::uint64_t>(m.type));
+        w.put_uint_min(static_cast<std::uint64_t>(m.value));
       },
       [](const audit::WireContext&, audit::BitReader& r) {
         return ClassMsg{static_cast<bpt::TypeId>(r.get_rest())};
-      },
-      [](const ClassMsg& a, const ClassMsg& b) { return a.type == b.type; });
+      });
   audit::register_codec<VerdictMsg>(
       "decision::VerdictMsg",
       [](const VerdictMsg& m, const audit::WireContext&, audit::BitWriter& w) {
@@ -57,127 +91,9 @@ int class_bits(const bpt::Engine& engine) {
       },
       [](const audit::WireContext&, audit::BitReader& r) {
         return VerdictMsg{r.get_bit()};
-      },
-      [](const VerdictMsg& a, const VerdictMsg& b) {
-        return a.holds == b.holds;
       });
   return true;
 }();
-
-class DecisionProgram : public congest::NodeProgram {
- public:
-  DecisionProgram(bpt::Engine& engine, bpt::Evaluator* evaluator,
-                  LocalContext ctx, VertexId parent_id,
-                  std::vector<VertexId> children_ids, int* max_bits,
-                  const std::size_t* types_at_round_start)
-      : engine_(engine),
-        evaluator_(evaluator),
-        local_(std::move(ctx)),
-        parent_id_(parent_id),
-        children_ids_(std::move(children_ids)),
-        child_slots_(children_ids_),
-        max_bits_(max_bits),
-        types_at_round_start_(types_at_round_start) {
-    inputs_.assign(children_ids_.size(), bpt::kInvalidType);
-  }
-
-  /// Incremental refold (churn engine): replay `cached` instead of folding.
-  /// `send_up` is false when the parent replays its own cached class too
-  /// (it will never read this node's class), saving the upward message.
-  void set_cached(bpt::TypeId cached, bool send_up) {
-    cached_ = cached;
-    send_up_ = send_up;
-  }
-
-  bool has_verdict() const { return verdict_known_; }
-  bool verdict() const { return verdict_; }
-  bpt::TypeId my_class() const { return my_class_; }
-  bool folded() const { return folded_; }
-
-  void on_round(NodeCtx& ctx) override {
-    if (first_round_) {
-      first_round_ = false;
-      ctx.annotate("fold");
-    }
-    // Collect children classes / parent verdict.
-    for (int p = 0; p < ctx.degree(); ++p) {
-      const auto& msg = ctx.recv(p);
-      if (!msg) continue;
-      if (const auto* cm = std::any_cast<ClassMsg>(&msg->value)) {
-        const int slot = child_slots_.slot(ctx.neighbor_id(p));
-        if (slot >= 0) inputs_[slot] = cm->type;
-      } else if (const auto* vm = std::any_cast<VerdictMsg>(&msg->value)) {
-        if (!verdict_known_) {
-          verdict_known_ = true;
-          verdict_ = vm->holds;
-          forward_verdict(ctx);
-        }
-      }
-    }
-    if (!sent_ && (cached_ != bpt::kInvalidType || all_inputs_ready())) {
-      sent_ = true;
-      if (cached_ != bpt::kInvalidType) {
-        my_class_ = cached_;
-      } else {
-        my_class_ = bpt::fold_type(engine_, local_.plan, local_.graph, inputs_);
-        folded_ = true;
-      }
-      if (parent_id_ < 0) {
-        verdict_known_ = true;
-        verdict_ = evaluator_->eval(my_class_);
-        forward_verdict(ctx);
-      } else if (send_up_) {
-        // Declared width must be schedule-independent under parallel
-        // stepping (send-time num_types depends on the interning
-        // schedule), so it is sized from the round-start universe
-        // snapshot. The declaration is cost accounting only; the
-        // simulator ships the value itself either way. Audit mode steps
-        // serially and keeps the legacy send-time width so wire
-        // re-encoding checks the exact declared frame.
-        const int bits = ctx.audited() ? class_bits(engine_)
-                                       : bits_for_count(*types_at_round_start_);
-        par::atomic_fetch_max(*max_bits_, bits);
-        ctx.send(ctx.port_of(parent_id_), Message(ClassMsg{my_class_}, bits));
-      }
-    }
-    // Waiting on children's classes or the root's verdict — both arrive as
-    // traffic, which wakes us (sparse scheduler; no-op otherwise).
-    if (!verdict_known_) ctx.sleep();
-  }
-
-  bool done(const NodeCtx&) const override { return verdict_known_; }
-
- private:
-  bool all_inputs_ready() const {
-    return std::none_of(inputs_.begin(), inputs_.end(), [](bpt::TypeId t) {
-      return t == bpt::kInvalidType;
-    });
-  }
-
-  void forward_verdict(NodeCtx& ctx) {
-    ctx.annotate("verdict");
-    for (VertexId child : children_ids_)
-      ctx.send(ctx.port_of(child), Message(VerdictMsg{verdict_}, 1));
-  }
-
-  bpt::Engine& engine_;
-  bpt::Evaluator* evaluator_;
-  LocalContext local_;
-  VertexId parent_id_;
-  std::vector<VertexId> children_ids_;
-  ChildSlots child_slots_;
-  std::vector<bpt::TypeId> inputs_;
-  bpt::TypeId cached_ = bpt::kInvalidType;
-  bpt::TypeId my_class_ = bpt::kInvalidType;
-  bool send_up_ = true;
-  bool folded_ = false;
-  bool first_round_ = true;
-  bool sent_ = false;
-  bool verdict_known_ = false;
-  bool verdict_ = false;
-  int* max_bits_;
-  const std::size_t* types_at_round_start_;
-};
 
 }  // namespace
 
@@ -185,103 +101,45 @@ DecisionOutcome run_decision_solve(congest::Network& net,
                                    const mso::FormulaPtr& formula,
                                    const ElimTreeResult& tree,
                                    const std::vector<LocalBag>& bags,
-                                   bpt::Engine* engine,
+                                   bpt::Engine* engine_in,
                                    DecisionCache* cache) {
   DecisionOutcome out;
   const mso::FormulaPtr lowered = mso::lower(formula);
   std::optional<bpt::Engine> own_engine;
-  if (engine == nullptr) {
-    own_engine.emplace(bpt::config_for(*lowered));
-    engine = &*own_engine;
-  }
-  if (!tree.success)
-    throw std::invalid_argument("run_decision_solve: tree invalid");
-  out.tree_depth = *std::max_element(tree.depth.begin(), tree.depth.end());
-  const auto& cfg = engine->config();
-
-  congest::PhaseScope trace_scope(net, "decide");
-  bpt::Evaluator evaluator(*engine, lowered);
-  // Round-start universe snapshot for schedule-independent class_bits
-  // declarations; refreshed by the network before each round's steps.
-  std::size_t types_at_round_start = engine->num_types();
-  net.set_round_begin_hook(
-      [&types_at_round_start, engine] { types_at_round_start = engine->num_types(); });
-  const bool incremental =
-      cache != nullptr &&
-      cache->refold.size() == static_cast<std::size_t>(net.n()) &&
-      cache->classes.size() == static_cast<std::size_t>(net.n());
-  auto replay = [&](int v) {  // clean vertex with a usable cached class
-    return incremental && !cache->refold[v] &&
-           cache->classes[v] != bpt::kInvalidType;
-  };
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  std::vector<DecisionProgram*> handles;
-  for (int v = 0; v < net.n(); ++v) {
-    std::vector<VertexId> children_ids;
-    for (int c : tree.children[v]) children_ids.push_back(net.id_of_vertex(c));
-    LocalContext lctx = make_local_context(bags[v], children_ids,
-                                           cfg.vertex_labels, cfg.edge_labels);
-    auto p = std::make_unique<DecisionProgram>(
-        *engine, &evaluator, std::move(lctx),
-        tree.parent[v] < 0 ? -1 : net.id_of_vertex(tree.parent[v]),
-        std::move(children_ids), &out.max_class_bits, &types_at_round_start);
-    if (replay(v)) {
-      const int parent = tree.parent[v];
-      p->set_cached(cache->classes[v], parent >= 0 && !replay(parent));
-    }
-    handles.push_back(p.get());
-    programs.push_back(std::move(p));
-  }
-  out.run = net.run_outcome(programs);
-  net.set_round_begin_hook(nullptr);
-  out.rounds_updown = out.run.rounds;
-  out.num_classes = engine->num_types();
+  bpt::Engine& engine = engine_or_own(engine_in, own_engine, *lowered);
+  if (tree.success)
+    out.tree_depth = *std::max_element(tree.depth.begin(), tree.depth.end());
+  DecisionAlgebra algebra(engine, lowered);
+  const auto& cfg = engine.config();
+  const TreeFold<DecisionAlgebra> fold = run_tree_fold(
+      net, algebra, tree, bags,
+      {"decide", cfg.vertex_labels, cfg.edge_labels}, cache);
+  out.run = fold.run;
+  out.rounds_updown = fold.run.rounds;
+  out.num_classes = engine.num_types();
+  out.max_class_bits = algebra.max_class_bits;
   if (!out.run.ok()) return out;  // degraded: verdict untrusted
-  for (const auto* h : handles) out.folds += h->folded() ? 1 : 0;
+  out.folds = fold.folds();
   // Distributed decision semantics: G |= phi iff every node accepts; all
   // nodes received the root's verdict.
   out.holds = true;
-  for (const auto* h : handles) out.holds = out.holds && h->verdict();
-  if (cache != nullptr) {
-    cache->classes.assign(net.n(), bpt::kInvalidType);
-    for (int v = 0; v < net.n(); ++v) cache->classes[v] = handles[v]->my_class();
-    cache->refold.assign(net.n(), 0);
-  }
+  for (int v = 0; v < net.n(); ++v) out.holds = out.holds && *fold.at(v).down();
   return out;
 }
 
 DecisionOutcome run_decision(congest::Network& net,
                              const mso::FormulaPtr& formula, int d,
-                             bpt::Engine* engine,
+                             bpt::Engine* engine_in,
                              const ElimTreeOptions& tree_opts) {
-  DecisionOutcome out;
-  const ElimTreeResult tree = run_elim_tree(net, d, tree_opts);
-  out.rounds_elim = tree.rounds;
-  out.run = tree.run;
-  if (!tree.run.ok()) return out;  // degraded: not a treedepth verdict
-  if (!tree.success) {
-    out.treedepth_exceeded = true;
-    return out;
-  }
-
-  const mso::FormulaPtr lowered = mso::lower(formula);
   std::optional<bpt::Engine> own_engine;
-  if (engine == nullptr) {
-    own_engine.emplace(bpt::config_for(*lowered));
-    engine = &*own_engine;
-  }
-  const auto& cfg = engine->config();
-  const BagsResult bags =
-      run_bags(net, tree, cfg.vertex_labels, cfg.edge_labels);
-  out.rounds_bags = bags.rounds;
-  out.run = bags.run;
-  if (!bags.run.ok()) return out;  // degraded: bags incomplete
-
-  DecisionOutcome solved =
-      run_decision_solve(net, formula, tree, bags.bags, engine, nullptr);
-  solved.rounds_elim = out.rounds_elim;
-  solved.rounds_bags = out.rounds_bags;
-  return solved;
+  bpt::Engine& engine =
+      engine_or_own(engine_in, own_engine, *mso::lower(formula));
+  const auto& cfg = engine.config();
+  return run_pipeline<DecisionOutcome>(
+      net, d, tree_opts, cfg.vertex_labels, cfg.edge_labels,
+      [&](const ElimTreeResult& tree, const std::vector<LocalBag>& bags) {
+        return run_decision_solve(net, formula, tree, bags, &engine);
+      });
 }
 
 }  // namespace dmc::dist

@@ -16,6 +16,7 @@
 #include "congest/network.hpp"
 #include "dist/bags.hpp"
 #include "dist/elim_tree.hpp"
+#include "dist/tree_fold.hpp"
 #include "mso/ast.hpp"
 
 namespace dmc::dist {
@@ -38,17 +39,9 @@ struct DecisionOutcome {
   long total_rounds() const { return rounds_elim + rounds_bags + rounds_updown; }
 };
 
-/// Incremental-refold state for the churn engine (src/churn/): per-vertex
-/// subtree classes carried across epochs. Vertices with `refold[v]` set
-/// fold fresh; clean vertices replay `classes[v]` without a BPT fold and
-/// skip the upward class message unless their parent refolds. Sound
-/// because a subtree's class depends only on its members' fold contexts
-/// (Lemma 4.3) — exactly what churn::TreePatch::dirty tracks — and class
-/// ids stay stable within one shared engine.
-struct DecisionCache {
-  std::vector<bpt::TypeId> classes;  // by graph vertex; kInvalidType = none
-  std::vector<char> refold;          // by graph vertex; empty = fold all
-};
+/// Incremental-refold state for the churn engine: per-vertex subtree
+/// classes (see FoldCache).
+using DecisionCache = FoldCache<bpt::TypeId>;
 
 /// Decides the closed formula on the network, with treedepth budget d.
 /// If `engine` is non-null it is used (and filled) instead of a fresh one —

@@ -17,17 +17,20 @@ using congest::NodeCtx;
 struct FloodMsg {
   bool marked = false;
   VertexId min_id = -1;
+  bool operator==(const FloodMsg&) const = default;
 };
 
 /// "My component leader is L" report (end of a phase's election).
 struct ReportMsg {
   VertexId leader = -1;
   VertexId reporter = -1;
+  bool operator==(const ReportMsg&) const = default;
 };
 
 /// "You become my child" (Algorithm 2, instruction 15).
 struct AdoptMsg {
   VertexId parent = -1;
+  bool operator==(const AdoptMsg&) const = default;
 };
 
 /// Wire codecs (audit mode): ids are fixed id_bits(n)-wide fields. A
@@ -51,9 +54,6 @@ struct AdoptMsg {
                             : static_cast<VertexId>(
                                   r.get_uint(congest::id_bits(ctx.n)));
         return m;
-      },
-      [](const FloodMsg& a, const FloodMsg& b) {
-        return a.marked == b.marked && a.min_id == b.min_id;
       });
   audit::register_codec<ReportMsg>(
       "elim_tree::ReportMsg",
@@ -71,9 +71,6 @@ struct AdoptMsg {
         m.reporter =
             static_cast<VertexId>(r.get_uint(congest::id_bits(ctx.n)));
         return m;
-      },
-      [](const ReportMsg& a, const ReportMsg& b) {
-        return a.leader == b.leader && a.reporter == b.reporter;
       });
   audit::register_codec<AdoptMsg>(
       "elim_tree::AdoptMsg",
@@ -87,9 +84,6 @@ struct AdoptMsg {
         m.parent =
             static_cast<VertexId>(r.get_uint(congest::id_bits(ctx.n)));
         return m;
-      },
-      [](const AdoptMsg& a, const AdoptMsg& b) {
-        return a.parent == b.parent;
       });
   return true;
 }();

@@ -1,70 +1,107 @@
 #include "dist/optimization.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 
-#include "bpt/plan.hpp"
 #include "bpt/tables.hpp"
-#include "congest/fragment.hpp"
 #include "congest/wire.hpp"
-#include "dist/bags.hpp"
-#include "dist/child_slots.hpp"
-#include "dist/elim_tree.hpp"
-#include "dist/local.hpp"
+#include "dist/tree_fold.hpp"
 #include "mso/lower.hpp"
-#include "par/pool.hpp"
 
 namespace dmc::dist {
 
 namespace {
 
-using congest::Message;
-using congest::NodeCtx;
-
-struct TablePayload {
-  bpt::OptTable table;
-};
-
 struct AssignMsg {
   bpt::TypeId type = bpt::kInvalidType;
+  bool operator==(const AssignMsg&) const = default;
 };
 
-struct InfeasibleMsg {};
+struct InfeasibleMsg {
+  bool operator==(const InfeasibleMsg&) const = default;
+};
 
 int class_bits(const bpt::Engine& engine) {
   return std::max(
       1, congest::count_bits(static_cast<std::uint64_t>(engine.num_types())));
 }
 
+/// The OPT (max,+) algebra: a node's summary is its OPT table (Definition
+/// 4.5, Lemma 4.6). The root picks the accepting class of maximum weight;
+/// every node re-derives its children's optimal classes from its ARGOPT
+/// backpointers and forwards them (Algorithm 1, lines 11-26). The down
+/// value is the class chosen for this subtree, kInvalidType = infeasible.
+struct OptAlgebra {
+  using Summary = bpt::OptTable;
+  using Down = bpt::TypeId;
+  struct Node {
+    std::unique_ptr<bpt::OptSolver> solver;
+  };
+  static constexpr bool kTables = true;
+  static constexpr const char* kUpMark = "tables";
+  static constexpr const char* kDownMark = "assign";
+
+  OptAlgebra(bpt::Engine& engine, const mso::FormulaPtr& lowered,
+             const Frees& frees)
+      : engine(engine), evaluator(engine, lowered, frees) {}
+
+  Summary fold(Node& node, const LocalContext& local, VertexId,
+               std::vector<Summary>&& children) {
+    node.solver = std::make_unique<bpt::OptSolver>(
+        engine, local.plan, local.graph, std::move(children));
+    const bpt::OptTable& table = node.solver->root_table();
+    max_table_entries =
+        std::max(max_table_entries, static_cast<int>(table.size()));
+    return table;
+  }
+  Down root(Node&, const Summary& table) {
+    const auto best = bpt::best_accepting(table, evaluator);
+    if (!best) return bpt::kInvalidType;
+    best_weight = best->second;
+    return best->first;
+  }
+  static std::optional<Down> down_of(const std::any& value) {
+    if (const auto* m = std::any_cast<AssignMsg>(&value)) return m->type;
+    if (std::any_cast<InfeasibleMsg>(&value) != nullptr)
+      return bpt::kInvalidType;
+    return std::nullopt;
+  }
+  /// Top-down step: forward the children's optimal classes (ARGOPT).
+  template <class Send>
+  void send_down(Node& node, const Down& type, std::size_t children,
+                 Send send) {
+    if (type == bpt::kInvalidType) {
+      for (std::size_t i = 0; i < children; ++i) send(i, InfeasibleMsg{}, 1);
+      return;
+    }
+    const auto sol = node.solver->reconstruct(type);
+    for (std::size_t i = 0; i < children; ++i)
+      send(i, AssignMsg{sol.input_choices[i]}, class_bits(engine));
+  }
+
+  bpt::Engine& engine;
+  bpt::Evaluator evaluator;
+  int max_table_entries = 0;
+  std::optional<Weight> best_weight;
+};
+
 /// Wire codecs (audit mode). Tables declare their *measured* encoding
 /// (varuint entry count, then varuint class + zigzag-varint weight per
 /// entry), so declared == encoded exactly; the single-field AssignMsg is
 /// minimal-width within the declared class_bits upper bound.
 [[maybe_unused]] const bool wire_codecs_registered = [] {
+  using TablePayload = UpMsg<OptAlgebra>;
   audit::register_codec<TablePayload>(
       "optimization::TablePayload",
       [](const TablePayload& m, const audit::WireContext&,
          audit::BitWriter& w) {
-        w.put_varuint(m.table.size());
-        for (const auto& [c, wt] : m.table) {
-          w.put_varuint(static_cast<std::uint64_t>(c));
-          w.put_varint(wt);
-        }
+        put_table(w, m.value, [&](Weight wt) { w.put_varint(wt); });
       },
       [](const audit::WireContext&, audit::BitReader& r) {
-        TablePayload m;
-        const std::uint64_t size = r.get_varuint();
-        for (std::uint64_t i = 0; i < size; ++i) {
-          const auto c = static_cast<bpt::TypeId>(r.get_varuint());
-          m.table[c] = r.get_varint();
-        }
-        return m;
-      },
-      [](const TablePayload& a, const TablePayload& b) {
-        return a.table == b.table;
+        return TablePayload{
+            get_table<bpt::OptTable>(r, [&] { return r.get_varint(); })};
       });
   audit::register_codec<AssignMsg>(
       "optimization::AssignMsg",
@@ -73,8 +110,7 @@ int class_bits(const bpt::Engine& engine) {
       },
       [](const audit::WireContext&, audit::BitReader& r) {
         return AssignMsg{static_cast<bpt::TypeId>(r.get_rest())};
-      },
-      [](const AssignMsg& a, const AssignMsg& b) { return a.type == b.type; });
+      });
   audit::register_codec<InfeasibleMsg>(
       "optimization::InfeasibleMsg",
       [](const InfeasibleMsg&, const audit::WireContext&,
@@ -82,145 +118,9 @@ int class_bits(const bpt::Engine& engine) {
       [](const audit::WireContext&, audit::BitReader& r) {
         r.get_bit();
         return InfeasibleMsg{};
-      },
-      [](const InfeasibleMsg&, const InfeasibleMsg&) { return true; });
+      });
   return true;
 }();
-
-long table_bits(const TablePayload& payload, const NodeCtx& ctx) {
-  return audit::measured_bits(payload,
-                              audit::WireContext{ctx.n(), ctx.bandwidth()});
-}
-
-class OptimizationProgram : public congest::NodeProgram {
- public:
-  OptimizationProgram(bpt::Engine& engine, bpt::Evaluator* evaluator,
-                      LocalContext lctx, VertexId parent_id,
-                      std::vector<VertexId> children_ids,
-                      OptimizationOutcome* shared)
-      : engine_(engine),
-        evaluator_(evaluator),
-        local_(std::move(lctx)),
-        parent_id_(parent_id),
-        children_ids_(std::move(children_ids)),
-        child_slots_(children_ids_),
-        shared_(shared) {
-    child_tables_.resize(children_ids_.size());
-    have_table_.assign(children_ids_.size(), false);
-  }
-
-  bool finished() const { return finished_; }
-  bool infeasible() const { return infeasible_; }
-  bpt::TypeId my_class() const { return my_class_; }
-  const LocalContext& local() const { return local_; }
-
-  void on_round(NodeCtx& ctx) override {
-    if (first_round_) {
-      first_round_ = false;
-      ctx.annotate("tables");
-    }
-    // Receive children tables (bottom-up) and class assignment (top-down).
-    for (int p = 0; p < ctx.degree(); ++p) {
-      const VertexId from = ctx.neighbor_id(p);
-      if (auto payload = reasm_.poll(ctx, p)) {
-        const auto& tp = std::any_cast<const TablePayload&>(*payload);
-        const int slot = child_slots_.slot(from);
-        if (slot >= 0) {
-          child_tables_[slot] = tp.table;
-          have_table_[slot] = true;
-        }
-        continue;
-      }
-      const auto& msg = ctx.recv(p);
-      if (!msg) continue;
-      if (const auto* am = std::any_cast<AssignMsg>(&msg->value)) {
-        if (from == parent_id_ && !finished_) assign(ctx, am->type);
-      } else if (std::any_cast<InfeasibleMsg>(&msg->value) != nullptr) {
-        if (!finished_) {
-          finished_ = infeasible_ = true;
-          broadcast_infeasible(ctx);
-        }
-      }
-    }
-    // Bottom-up: solve once all children reported.
-    if (!solver_ && std::all_of(have_table_.begin(), have_table_.end(),
-                                [](bool b) { return b; })) {
-      solver_ = std::make_unique<bpt::OptSolver>(engine_, local_.plan,
-                                                 local_.graph, child_tables_);
-      const bpt::OptTable& root_table = solver_->root_table();
-      par::atomic_fetch_max(shared_->max_table_entries,
-                            static_cast<int>(root_table.size()));
-      if (parent_id_ < 0) {
-        // Root: pick the accepting class of maximum weight.
-        bpt::TypeId best = bpt::kInvalidType;
-        Weight best_w = 0;
-        for (const auto& [t, w] : root_table) {
-          if (!evaluator_->eval(t)) continue;
-          if (best == bpt::kInvalidType || w > best_w) {
-            best = t;
-            best_w = w;
-          }
-        }
-        if (best == bpt::kInvalidType) {
-          finished_ = infeasible_ = true;
-          broadcast_infeasible(ctx);
-        } else {
-          shared_->best_weight = best_w;
-          assign(ctx, best);
-        }
-      } else {
-        TablePayload payload{root_table};
-        const long bits = table_bits(payload, ctx);
-        sender_.enqueue(ctx.port_of(parent_id_), std::move(payload), bits);
-      }
-    }
-    sender_.pump(ctx);
-    // Blocked on children's table chunks or the top-down assignment — both
-    // arrive as traffic, which wakes us (sparse scheduler; no-op otherwise).
-    if (!finished_ && sender_.idle()) ctx.sleep();
-  }
-
-  bool done(const NodeCtx&) const override {
-    return finished_ && sender_.idle();
-  }
-
- private:
-  /// Top-down step: adopt the class chosen for this subtree, forward the
-  /// children's optimal classes (ARGOPT), mark Selected elements.
-  void assign(NodeCtx& ctx, bpt::TypeId type) {
-    ctx.annotate("assign");
-    my_class_ = type;
-    finished_ = true;
-    const auto sol = solver_->reconstruct(type);
-    for (std::size_t i = 0; i < children_ids_.size(); ++i) {
-      ctx.send(ctx.port_of(children_ids_[i]),
-               Message(AssignMsg{sol.input_choices[i]}, class_bits(engine_)));
-    }
-  }
-
-  void broadcast_infeasible(NodeCtx& ctx) {
-    ctx.annotate("assign");
-    for (VertexId child : children_ids_)
-      ctx.send(ctx.port_of(child), Message(InfeasibleMsg{}, 1));
-  }
-
-  bpt::Engine& engine_;
-  bpt::Evaluator* evaluator_;
-  LocalContext local_;
-  VertexId parent_id_;
-  std::vector<VertexId> children_ids_;
-  ChildSlots child_slots_;
-  OptimizationOutcome* shared_;
-  std::vector<bpt::OptTable> child_tables_;
-  std::vector<bool> have_table_;
-  std::unique_ptr<bpt::OptSolver> solver_;
-  congest::FragmentSender sender_;
-  congest::FragmentReassembler reasm_;
-  bpt::TypeId my_class_ = bpt::kInvalidType;
-  bool first_round_ = true;
-  bool finished_ = false;
-  bool infeasible_ = false;
-};
 
 OptimizationOutcome run_solve_impl(congest::Network& net,
                                    const mso::FormulaPtr& formula,
@@ -229,55 +129,23 @@ OptimizationOutcome run_solve_impl(congest::Network& net,
                                    const std::vector<LocalBag>& bags,
                                    Weight sign, bpt::Engine* engine_in) {
   OptimizationOutcome out;
-  const std::vector<std::pair<std::string, mso::Sort>> frees{{var, var_sort}};
+  const Frees frees{{var, var_sort}};
   const mso::FormulaPtr lowered = mso::lower(formula, frees);
   std::optional<bpt::Engine> own_engine;
-  if (engine_in == nullptr) {
-    own_engine.emplace(bpt::config_for(*lowered, frees));
-    engine_in = &*own_engine;
-  }
-  bpt::Engine& engine = *engine_in;
-  bpt::Evaluator evaluator(engine, lowered, frees);
-  if (!tree.success)
-    throw std::invalid_argument("run_solve_impl: tree invalid");
+  bpt::Engine& engine = engine_or_own(engine_in, own_engine, *lowered, frees);
+  OptAlgebra algebra(engine, lowered, frees);
   const auto& cfg = engine.config();
-
-  congest::PhaseScope trace_scope(net, sign < 0 ? "minimize" : "maximize");
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  std::vector<OptimizationProgram*> handles;
-  for (int v = 0; v < net.n(); ++v) {
-    std::vector<VertexId> children_ids;
-    for (int c : tree.children[v]) children_ids.push_back(net.id_of_vertex(c));
-    LocalContext lctx = make_local_context(bags[v], children_ids,
-                                           cfg.vertex_labels, cfg.edge_labels);
-    if (sign < 0) {
-      for (VertexId lv = 0; lv < lctx.graph.num_vertices(); ++lv)
-        lctx.graph.set_vertex_weight(lv, -lctx.graph.vertex_weight(lv));
-      for (EdgeId le = 0; le < lctx.graph.num_edges(); ++le)
-        lctx.graph.set_edge_weight(le, -lctx.graph.edge_weight(le));
-    }
-    auto p = std::make_unique<OptimizationProgram>(
-        engine, &evaluator, std::move(lctx),
-        tree.parent[v] < 0 ? -1 : net.id_of_vertex(tree.parent[v]),
-        std::move(children_ids), &out);
-    handles.push_back(p.get());
-    programs.push_back(std::move(p));
-  }
-  {
-    // Table payloads declare their *measured* varuint encoding of class-id
-    // values, which depend on the interning schedule; the solve phase must
-    // therefore run on the exact serial path regardless of --threads.
-    congest::Network::SerialSection serial(net);
-    out.run = net.run_outcome(programs);
-  }
-  out.rounds_solve = out.run.rounds;
+  const TreeFold<OptAlgebra> fold = run_tree_fold(
+      net, algebra, tree, bags,
+      {sign < 0 ? "minimize" : "maximize", cfg.vertex_labels, cfg.edge_labels,
+       sign < 0});
+  out.run = fold.run;
+  out.rounds_solve = fold.run.rounds;
   out.num_classes = engine.num_types();
+  out.max_table_entries = algebra.max_table_entries;
   if (!out.run.ok()) return out;  // degraded: solution untrusted
-  if (handles[0]->infeasible()) {
-    out.best_weight.reset();
-    return out;
-  }
-  if (out.best_weight) out.best_weight = sign * *out.best_weight;
+  if (*fold.at(0).down() == bpt::kInvalidType) return out;  // infeasible
+  out.best_weight = sign * *algebra.best_weight;
 
   // Assemble the selected set from per-node markings (Algorithm 1's
   // top-down phase: each node marks itself and its incident bag edges).
@@ -285,10 +153,8 @@ OptimizationOutcome run_solve_impl(congest::Network& net,
   out.vertices.assign(g.num_vertices(), false);
   out.edges.assign(g.num_edges(), false);
   for (int v = 0; v < net.n(); ++v) {
-    const OptimizationProgram& p = *handles[v];
-    const bpt::TypeId c = p.my_class();
-    if (c == bpt::kInvalidType) continue;
-    const LocalContext& lc = p.local();
+    const bpt::TypeId c = *fold.at(v).down();
+    const LocalContext& lc = fold.at(v).local();
     const VertexId self_id = net.id_of_vertex(v);
     if (var_sort == mso::Sort::VertexSet) {
       std::vector<VertexId> bag_globals;
@@ -321,35 +187,17 @@ OptimizationOutcome run_impl(congest::Network& net,
                              const std::string& var, mso::Sort var_sort, int d,
                              Weight sign, bpt::Engine* engine_in,
                              const ElimTreeOptions& tree_opts) {
-  OptimizationOutcome out;
-  const std::vector<std::pair<std::string, mso::Sort>> frees{{var, var_sort}};
-  const mso::FormulaPtr lowered = mso::lower(formula, frees);
+  const Frees frees{{var, var_sort}};
   std::optional<bpt::Engine> own_engine;
-  if (engine_in == nullptr) {
-    own_engine.emplace(bpt::config_for(*lowered, frees));
-    engine_in = &*own_engine;
-  }
-
-  const ElimTreeResult tree = run_elim_tree(net, d, tree_opts);
-  out.rounds_elim = tree.rounds;
-  out.run = tree.run;
-  if (!tree.run.ok()) return out;  // degraded: not a treedepth verdict
-  if (!tree.success) {
-    out.treedepth_exceeded = true;
-    return out;
-  }
-  const auto& cfg = engine_in->config();
-  const BagsResult bags =
-      run_bags(net, tree, cfg.vertex_labels, cfg.edge_labels);
-  out.rounds_bags = bags.rounds;
-  out.run = bags.run;
-  if (!bags.run.ok()) return out;  // degraded: bags incomplete
-
-  OptimizationOutcome solved = run_solve_impl(net, formula, var, var_sort,
-                                              tree, bags.bags, sign, engine_in);
-  solved.rounds_elim = out.rounds_elim;
-  solved.rounds_bags = out.rounds_bags;
-  return solved;
+  bpt::Engine& engine = engine_or_own(engine_in, own_engine,
+                                      *mso::lower(formula, frees), frees);
+  const auto& cfg = engine.config();
+  return run_pipeline<OptimizationOutcome>(
+      net, d, tree_opts, cfg.vertex_labels, cfg.edge_labels,
+      [&](const ElimTreeResult& tree, const std::vector<LocalBag>& bags) {
+        return run_solve_impl(net, formula, var, var_sort, tree, bags, sign,
+                              &engine);
+      });
 }
 
 }  // namespace

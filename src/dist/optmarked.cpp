@@ -1,68 +1,129 @@
 #include "dist/optmarked.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <stdexcept>
-
 #include "bpt/tables.hpp"
-#include "congest/fragment.hpp"
 #include "congest/wire.hpp"
-#include "dist/bags.hpp"
-#include "dist/child_slots.hpp"
-#include "dist/elim_tree.hpp"
-#include "dist/local.hpp"
+#include "dist/tree_fold.hpp"
 #include "mso/lower.hpp"
 
 namespace dmc::dist {
 
 namespace {
 
-using congest::Message;
-using congest::NodeCtx;
-
 constexpr const char* kMarkLabel = "marked";
 
-struct UpPayload {
+struct MarkedSummary {
   bpt::OptTable opt;
   bpt::TypeId marked_class = bpt::kInvalidType;
   Weight marked_weight = 0;
+  bool operator==(const MarkedSummary&) const = default;
 };
 
 struct VerdictMsg {
   bool satisfies = false;
   bool is_optimal = false;
+  bool operator==(const VerdictMsg&) const = default;
 };
 
-/// Wire codecs (audit mode). UpPayload declares its *measured* encoding:
-/// the OPT table (varuint entry count, varuint class + zigzag-varint
-/// weight per entry) followed by the marked class as a zigzag varint
-/// (kInvalidType is -1) and the marked weight as a zigzag varint.
+/// The optmarked algebra: a node's summary is the OPT table for phi(S),
+/// the class of (G_u, Mark ∩ V(G_u)) and the marked weight of its subtree.
+/// The root accepts iff the marked class is accepting and its weight
+/// equals the optimum over accepting classes (Section 6 of the paper).
+struct OptMarkedAlgebra {
+  using Summary = MarkedSummary;
+  using Down = VerdictMsg;
+  struct Node {};
+  static constexpr bool kTables = true;
+  static constexpr const char* kUpMark = "tables";
+  static constexpr const char* kDownMark = "verdict";
+
+  OptMarkedAlgebra(const mso::FormulaPtr& lowered, const Frees& frees,
+                   bool vertex_sort)
+      : engine(bpt::config_for(*lowered, frees)),
+        evaluator(engine, lowered, frees),
+        vertex_sort(vertex_sort) {}
+
+  Summary fold(Node&, const LocalContext& local, VertexId self,
+               std::vector<Summary>&& children) {
+    Summary mine;
+    // 1. OPT table.
+    std::vector<bpt::OptTable> opt_inputs;
+    for (auto& cp : children) opt_inputs.push_back(std::move(cp.opt));
+    bpt::OptSolver solver(engine, local.plan, local.graph,
+                          std::move(opt_inputs));
+    mine.opt = solver.root_table();
+    // 2. Class of the marked assignment.
+    std::vector<bool> vin(local.graph.num_vertices(), false);
+    std::vector<bool> ein(local.graph.num_edges(), false);
+    for (VertexId lv = 0; lv < local.graph.num_vertices(); ++lv)
+      vin[lv] = local.graph.vertex_has_label(kMarkLabel, lv);
+    for (EdgeId le = 0; le < local.graph.num_edges(); ++le)
+      ein[le] = local.graph.edge_has_label(kMarkLabel, le);
+    std::vector<bpt::TypeId> class_inputs;
+    for (const auto& cp : children) class_inputs.push_back(cp.marked_class);
+    mine.marked_class = bpt::fold_assigned_type(
+        engine, local.plan, local.graph, vin, ein, class_inputs);
+    // 3. Marked weight: children sums + own contribution (self vertex /
+    // bag edges incident to self — each edge is counted at its deeper
+    // endpoint, which is the unique bag member adjacent to it from below).
+    for (const auto& cp : children) mine.marked_weight += cp.marked_weight;
+    const int self_local = local.local_of(self);
+    if (vertex_sort) {
+      if (vin[self_local])
+        mine.marked_weight += local.graph.vertex_weight(self_local);
+    } else {
+      for (auto [w, e] : local.graph.incident(self_local))
+        if (ein[e]) mine.marked_weight += local.graph.edge_weight(e);
+    }
+    return mine;
+  }
+  Down root(Node&, const Summary& mine) {
+    const auto best = bpt::best_accepting(mine.opt, evaluator);
+    VerdictMsg verdict;
+    verdict.satisfies = mine.marked_class != bpt::kInvalidType &&
+                        evaluator.eval(mine.marked_class);
+    verdict.is_optimal = verdict.satisfies && best &&
+                         mine.marked_weight == best->second;
+    marked_weight = mine.marked_weight;
+    best_weight = best ? best->second : 0;
+    return verdict;
+  }
+  static std::optional<Down> down_of(const std::any& value) {
+    if (const auto* m = std::any_cast<VerdictMsg>(&value)) return *m;
+    return std::nullopt;
+  }
+  template <class Send>
+  void send_down(Node&, const Down& verdict, std::size_t children, Send send) {
+    for (std::size_t i = 0; i < children; ++i) send(i, verdict, 2);
+  }
+
+  bpt::Engine engine;
+  bpt::Evaluator evaluator;
+  bool vertex_sort;
+  Weight marked_weight = 0;
+  Weight best_weight = 0;
+};
+
+/// Wire codecs (audit mode). The up payload declares its *measured*
+/// encoding: the OPT table (varuint entry count, varuint class +
+/// zigzag-varint weight per entry) followed by the marked class as a
+/// zigzag varint (kInvalidType is -1) and the marked weight as a zigzag
+/// varint.
 [[maybe_unused]] const bool wire_codecs_registered = [] {
+  using UpPayload = UpMsg<OptMarkedAlgebra>;
   audit::register_codec<UpPayload>(
       "optmarked::UpPayload",
       [](const UpPayload& m, const audit::WireContext&, audit::BitWriter& w) {
-        w.put_varuint(m.opt.size());
-        for (const auto& [c, wt] : m.opt) {
-          w.put_varuint(static_cast<std::uint64_t>(c));
-          w.put_varint(wt);
-        }
-        w.put_varint(m.marked_class);
-        w.put_varint(m.marked_weight);
+        put_table(w, m.value.opt, [&](Weight wt) { w.put_varint(wt); });
+        w.put_varint(m.value.marked_class);
+        w.put_varint(m.value.marked_weight);
       },
       [](const audit::WireContext&, audit::BitReader& r) {
         UpPayload m;
-        const std::uint64_t size = r.get_varuint();
-        for (std::uint64_t i = 0; i < size; ++i) {
-          const auto c = static_cast<bpt::TypeId>(r.get_varuint());
-          m.opt[c] = r.get_varint();
-        }
-        m.marked_class = static_cast<bpt::TypeId>(r.get_varint());
-        m.marked_weight = r.get_varint();
+        m.value.opt =
+            get_table<bpt::OptTable>(r, [&] { return r.get_varint(); });
+        m.value.marked_class = static_cast<bpt::TypeId>(r.get_varint());
+        m.value.marked_weight = r.get_varint();
         return m;
-      },
-      [](const UpPayload& a, const UpPayload& b) {
-        return a.opt == b.opt && a.marked_class == b.marked_class &&
-               a.marked_weight == b.marked_weight;
       });
   audit::register_codec<VerdictMsg>(
       "optmarked::VerdictMsg",
@@ -75,180 +136,13 @@ struct VerdictMsg {
         m.satisfies = r.get_bit();
         m.is_optimal = r.get_bit();
         return m;
-      },
-      [](const VerdictMsg& a, const VerdictMsg& b) {
-        return a.satisfies == b.satisfies && a.is_optimal == b.is_optimal;
       });
   return true;
 }();
 
-long payload_bits(const UpPayload& p, const NodeCtx& ctx) {
-  return audit::measured_bits(p,
-                              audit::WireContext{ctx.n(), ctx.bandwidth()});
-}
-
-class OptMarkedProgram : public congest::NodeProgram {
- public:
-  OptMarkedProgram(bpt::Engine& engine, bpt::Evaluator* evaluator,
-                   LocalContext lctx, VertexId parent_id,
-                   std::vector<VertexId> children_ids, bool vertex_sort,
-                   OptMarkedOutcome* shared)
-      : engine_(engine),
-        evaluator_(evaluator),
-        local_(std::move(lctx)),
-        parent_id_(parent_id),
-        children_ids_(std::move(children_ids)),
-        child_slots_(children_ids_),
-        vertex_sort_(vertex_sort),
-        shared_(shared) {
-    child_payloads_.resize(children_ids_.size());
-    have_payload_.assign(children_ids_.size(), false);
-  }
-
-  bool finished() const { return finished_; }
-  bool satisfies() const { return satisfies_; }
-  bool is_optimal() const { return is_optimal_; }
-
-  void on_round(NodeCtx& ctx) override {
-    if (first_round_) {
-      first_round_ = false;
-      ctx.annotate("tables");
-    }
-    for (int p = 0; p < ctx.degree(); ++p) {
-      const VertexId from = ctx.neighbor_id(p);
-      if (auto payload = reasm_.poll(ctx, p)) {
-        const auto& up = std::any_cast<const UpPayload&>(*payload);
-        const int slot = child_slots_.slot(from);
-        if (slot >= 0) {
-          child_payloads_[slot] = up;
-          have_payload_[slot] = true;
-        }
-        continue;
-      }
-      const auto& msg = ctx.recv(p);
-      if (!msg) continue;
-      if (const auto* vm = std::any_cast<VerdictMsg>(&msg->value)) {
-        if (from == parent_id_ && !finished_) {
-          satisfies_ = vm->satisfies;
-          is_optimal_ = vm->is_optimal;
-          finished_ = true;
-          forward_verdict(ctx);
-        }
-      }
-    }
-    if (!solved_ && std::all_of(have_payload_.begin(), have_payload_.end(),
-                                [](bool b) { return b; })) {
-      solved_ = true;
-      UpPayload mine = solve_local();
-      if (parent_id_ < 0) {
-        // Root decision per Section 6 of the paper.
-        bpt::TypeId best = bpt::kInvalidType;
-        Weight best_w = 0;
-        for (const auto& [t, w] : mine.opt) {
-          if (!evaluator_->eval(t)) continue;
-          if (best == bpt::kInvalidType || w > best_w) {
-            best = t;
-            best_w = w;
-          }
-        }
-        satisfies_ = mine.marked_class != bpt::kInvalidType &&
-                     evaluator_->eval(mine.marked_class);
-        is_optimal_ = satisfies_ && best != bpt::kInvalidType &&
-                      mine.marked_weight == best_w;
-        shared_->marked_weight = mine.marked_weight;
-        shared_->best_weight = best == bpt::kInvalidType ? 0 : best_w;
-        finished_ = true;
-        forward_verdict(ctx);
-      } else {
-        const long bits = payload_bits(mine, ctx);
-        sender_.enqueue(ctx.port_of(parent_id_), std::move(mine), bits);
-      }
-    }
-    sender_.pump(ctx);
-    // Blocked on children's payload chunks or the parent's verdict — both
-    // arrive as traffic, which wakes us (sparse scheduler; no-op otherwise).
-    if (!finished_ && sender_.idle()) ctx.sleep();
-  }
-
-  bool done(const NodeCtx&) const override {
-    return finished_ && sender_.idle();
-  }
-
- private:
-  UpPayload solve_local() {
-    UpPayload mine;
-    // 1. OPT table.
-    std::vector<bpt::OptTable> opt_inputs;
-    for (const auto& cp : child_payloads_) opt_inputs.push_back(cp.opt);
-    bpt::OptSolver solver(engine_, local_.plan, local_.graph,
-                          std::move(opt_inputs));
-    mine.opt = solver.root_table();
-    // 2. Class of the marked assignment.
-    std::vector<bool> vin(local_.graph.num_vertices(), false);
-    std::vector<bool> ein(local_.graph.num_edges(), false);
-    for (VertexId lv = 0; lv < local_.graph.num_vertices(); ++lv)
-      vin[lv] = local_.graph.vertex_has_label(kMarkLabel, lv);
-    for (EdgeId le = 0; le < local_.graph.num_edges(); ++le)
-      ein[le] = local_.graph.edge_has_label(kMarkLabel, le);
-    std::vector<bpt::TypeId> class_inputs;
-    for (const auto& cp : child_payloads_)
-      class_inputs.push_back(cp.marked_class);
-    mine.marked_class = bpt::fold_assigned_type(
-        engine_, local_.plan, local_.graph, vin, ein, class_inputs);
-    // 3. Marked weight: children sums + own contribution (self vertex /
-    // bag edges incident to self — each edge is counted at its deeper
-    // endpoint, which is the unique bag member adjacent to it from below).
-    mine.marked_weight = 0;
-    for (const auto& cp : child_payloads_)
-      mine.marked_weight += cp.marked_weight;
-    const int self_local = local_.local_of(self_global_id_);
-    if (vertex_sort_) {
-      if (vin[self_local])
-        mine.marked_weight += local_.graph.vertex_weight(self_local);
-    } else {
-      for (auto [w, e] : local_.graph.incident(self_local))
-        if (ein[e]) mine.marked_weight += local_.graph.edge_weight(e);
-    }
-    return mine;
-  }
-
-  void forward_verdict(NodeCtx& ctx) {
-    ctx.annotate("verdict");
-    for (VertexId child : children_ids_)
-      ctx.send(ctx.port_of(child), Message(VerdictMsg{satisfies_, is_optimal_}, 2));
-  }
-
- public:
-  VertexId self_global_id_ = -1;  // set by the harness before the run
-
- private:
-  bpt::Engine& engine_;
-  bpt::Evaluator* evaluator_;
-  LocalContext local_;
-  VertexId parent_id_;
-  std::vector<VertexId> children_ids_;
-  ChildSlots child_slots_;
-  bool vertex_sort_;
-  OptMarkedOutcome* shared_;
-  std::vector<UpPayload> child_payloads_;
-  std::vector<bool> have_payload_;
-  congest::FragmentSender sender_;
-  congest::FragmentReassembler reasm_;
-  bool first_round_ = true;
-  bool solved_ = false;
-  bool finished_ = false;
-  bool satisfies_ = false;
-  bool is_optimal_ = false;
-};
-
-}  // namespace
-
-std::pair<std::vector<std::string>, std::vector<std::string>>
-optmarked_labels(const mso::FormulaPtr& formula, const std::string& var,
-                 mso::Sort var_sort) {
-  const std::vector<std::pair<std::string, mso::Sort>> frees{{var, var_sort}};
-  const mso::FormulaPtr lowered = mso::lower(formula, frees);
-  const bpt::EngineConfig cfg = bpt::config_for(*lowered, frees);
+/// The engine config's labels plus the mark label on the solved sort.
+std::pair<std::vector<std::string>, std::vector<std::string>> with_mark_label(
+    const bpt::EngineConfig& cfg, mso::Sort var_sort) {
   auto vlabels = cfg.vertex_labels;
   auto elabels = cfg.edge_labels;
   if (var_sort == mso::Sort::VertexSet)
@@ -258,6 +152,16 @@ optmarked_labels(const mso::FormulaPtr& formula, const std::string& var,
   return {std::move(vlabels), std::move(elabels)};
 }
 
+}  // namespace
+
+std::pair<std::vector<std::string>, std::vector<std::string>>
+optmarked_labels(const mso::FormulaPtr& formula, const std::string& var,
+                 mso::Sort var_sort) {
+  const Frees frees{{var, var_sort}};
+  return with_mark_label(bpt::config_for(*mso::lower(formula, frees), frees),
+                         var_sort);
+}
+
 OptMarkedOutcome run_optmarked_solve(congest::Network& net,
                                      const mso::FormulaPtr& formula,
                                      const std::string& var, mso::Sort var_sort,
@@ -265,58 +169,23 @@ OptMarkedOutcome run_optmarked_solve(congest::Network& net,
                                      const std::vector<LocalBag>& bags,
                                      bool minimize) {
   OptMarkedOutcome out;
-  const std::vector<std::pair<std::string, mso::Sort>> frees{{var, var_sort}};
-  const mso::FormulaPtr lowered = mso::lower(formula, frees);
-  bpt::Engine engine(bpt::config_for(*lowered, frees));
-  bpt::Evaluator evaluator(engine, lowered, frees);
-  if (!tree.success)
-    throw std::invalid_argument("run_optmarked_solve: tree invalid");
+  const Frees frees{{var, var_sort}};
+  OptMarkedAlgebra algebra(mso::lower(formula, frees), frees,
+                           var_sort == mso::Sort::VertexSet);
   // Bag payloads additionally carry the "marked" label.
-  auto vlabels = engine.config().vertex_labels;
-  auto elabels = engine.config().edge_labels;
-  if (var_sort == mso::Sort::VertexSet)
-    vlabels.push_back(kMarkLabel);
-  else
-    elabels.push_back(kMarkLabel);
-
-  congest::PhaseScope trace_scope(net, "optmarked");
-  std::vector<std::unique_ptr<congest::NodeProgram>> programs;
-  std::vector<OptMarkedProgram*> handles;
-  for (int v = 0; v < net.n(); ++v) {
-    std::vector<VertexId> children_ids;
-    for (int c : tree.children[v]) children_ids.push_back(net.id_of_vertex(c));
-    LocalContext lctx =
-        make_local_context(bags[v], children_ids, vlabels, elabels);
-    if (minimize) {
-      for (VertexId lv = 0; lv < lctx.graph.num_vertices(); ++lv)
-        lctx.graph.set_vertex_weight(lv, -lctx.graph.vertex_weight(lv));
-      for (EdgeId le = 0; le < lctx.graph.num_edges(); ++le)
-        lctx.graph.set_edge_weight(le, -lctx.graph.edge_weight(le));
-    }
-    auto p = std::make_unique<OptMarkedProgram>(
-        engine, &evaluator, std::move(lctx),
-        tree.parent[v] < 0 ? -1 : net.id_of_vertex(tree.parent[v]),
-        std::move(children_ids), var_sort == mso::Sort::VertexSet, &out);
-    p->self_global_id_ = net.id_of_vertex(v);
-    handles.push_back(p.get());
-    programs.push_back(std::move(p));
-  }
-  {
-    // UpPayloads declare their measured varuint encoding of class-id
-    // values, which depend on the interning schedule; keep the solve phase
-    // on the exact serial path regardless of --threads.
-    congest::Network::SerialSection serial(net);
-    out.run = net.run_outcome(programs);
-  }
-  out.rounds_solve = out.run.rounds;
-  out.num_classes = engine.num_types();
+  const auto [vlabels, elabels] =
+      with_mark_label(algebra.engine.config(), var_sort);
+  const TreeFold<OptMarkedAlgebra> fold = run_tree_fold(
+      net, algebra, tree, bags, {"optmarked", vlabels, elabels, minimize});
+  out.run = fold.run;
+  out.rounds_solve = fold.run.rounds;
+  out.num_classes = algebra.engine.num_types();
   if (!out.run.ok()) return out;  // degraded: verdict untrusted
-  out.satisfies = handles[0]->satisfies();
-  out.is_optimal = handles[0]->is_optimal();
-  if (minimize) {
-    out.marked_weight = -out.marked_weight;
-    out.best_weight = -out.best_weight;
-  }
+  out.satisfies = fold.at(0).down()->satisfies;
+  out.is_optimal = fold.at(0).down()->is_optimal;
+  const Weight sign = minimize ? -1 : 1;
+  out.marked_weight = sign * algebra.marked_weight;
+  out.best_weight = sign * algebra.best_weight;
   return out;
 }
 
@@ -325,26 +194,13 @@ OptMarkedOutcome run_optmarked(congest::Network& net,
                                const std::string& var, mso::Sort var_sort,
                                int d, bool minimize,
                                const ElimTreeOptions& tree_opts) {
-  OptMarkedOutcome out;
-  const ElimTreeResult tree = run_elim_tree(net, d, tree_opts);
-  out.rounds_elim = tree.rounds;
-  out.run = tree.run;
-  if (!tree.run.ok()) return out;  // degraded: not a treedepth verdict
-  if (!tree.success) {
-    out.treedepth_exceeded = true;
-    return out;
-  }
   const auto [vlabels, elabels] = optmarked_labels(formula, var, var_sort);
-  const BagsResult bags = run_bags(net, tree, vlabels, elabels);
-  out.rounds_bags = bags.rounds;
-  out.run = bags.run;
-  if (!bags.run.ok()) return out;  // degraded: bags incomplete
-
-  OptMarkedOutcome solved = run_optmarked_solve(net, formula, var, var_sort,
-                                                tree, bags.bags, minimize);
-  solved.rounds_elim = out.rounds_elim;
-  solved.rounds_bags = out.rounds_bags;
-  return solved;
+  return run_pipeline<OptMarkedOutcome>(
+      net, d, tree_opts, vlabels, elabels,
+      [&](const ElimTreeResult& tree, const std::vector<LocalBag>& bags) {
+        return run_optmarked_solve(net, formula, var, var_sort, tree, bags,
+                                   minimize);
+      });
 }
 
 }  // namespace dmc::dist

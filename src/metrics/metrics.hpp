@@ -34,6 +34,7 @@
 // `"name":value` pairs for embedding into DMC_BENCH_JSON rows).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -112,10 +113,10 @@ class Histogram {
   }
 
   /// Derived quantile estimate: the inclusive upper edge of the smallest
-  /// bucket whose cumulative count reaches rank ceil(q * count). The log2
+  /// bucket whose cumulative count reaches rank ceil(q * count), clamped to
+  /// the observed max (so p50 <= p95 <= max always holds). The log2
   /// buckets make this an upper bound within 2x of the true quantile —
-  /// plenty for tail-latency gating. The top (unbounded) bucket reports
-  /// the observed max instead of an edge. 0 when empty.
+  /// plenty for tail-latency gating. 0 when empty.
   long long quantile(double q) const {
     const long long n = count();
     if (n <= 0) return 0;
@@ -126,8 +127,7 @@ class Histogram {
     long long cum = 0;
     for (int i = 0; i < kBuckets; ++i) {
       cum += bucket(i);
-      if (cum >= rank)
-        return i >= kBuckets - 1 ? max() : bucket_upper(i);
+      if (cum >= rank) return std::min(bucket_upper(i), max());
     }
     return max();  // racy concurrent records: fall back to the max
   }

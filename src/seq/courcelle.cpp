@@ -59,18 +59,11 @@ std::optional<OptResult> maximize(const Graph& g,
   Prepared p = prepare(g, formula, frees, td);
   bpt::OptSolver solver(p.engine, p.plan, g);
   bpt::Evaluator eval(p.engine, p.lowered, frees);
-  bpt::TypeId best = bpt::kInvalidType;
-  Weight best_w = 0;
-  for (const auto& [t, w] : solver.root_table()) {
-    if (!eval.eval(t)) continue;  // not an accepting class
-    if (best == bpt::kInvalidType || w > best_w) {
-      best = t;
-      best_w = w;
-    }
-  }
-  if (best == bpt::kInvalidType) return std::nullopt;
-  auto sol = solver.reconstruct(best);
-  return OptResult{best_w, std::move(sol.vertices), std::move(sol.edges)};
+  const auto best = bpt::best_accepting(solver.root_table(), eval);
+  if (!best) return std::nullopt;
+  auto sol = solver.reconstruct(best->first);
+  return OptResult{best->second, std::move(sol.vertices),
+                   std::move(sol.edges)};
 }
 
 std::optional<OptResult> maximize(const Graph& g,
@@ -107,13 +100,7 @@ std::uint64_t count(const Graph& g, const mso::FormulaPtr& formula,
   Prepared p = prepare(g, formula, vars, td);
   const auto tables = bpt::fold_count(p.engine, p.plan, g);
   bpt::Evaluator eval(p.engine, p.lowered, vars);
-  std::uint64_t total = 0;
-  for (const auto& [t, c] : tables[p.plan.root]) {
-    if (!eval.eval(t)) continue;
-    if (__builtin_add_overflow(total, c, &total))
-      throw std::overflow_error("count: overflow");
-  }
-  return total;
+  return bpt::count_accepting(tables[p.plan.root], eval);
 }
 
 std::uint64_t count(const Graph& g, const mso::FormulaPtr& formula,

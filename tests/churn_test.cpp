@@ -14,6 +14,7 @@
 #include "dist/elim_tree.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
+#include "mso/parser.hpp"
 #include "td/elimination_forest.hpp"
 
 namespace dmc::churn {
@@ -441,6 +442,33 @@ TEST(ChurnEngine, CrashMidSolveYieldsStructuredDegradedOutcome) {
       engine.step({ChurnEvent{ChurnEvent::Kind::kAddEdge, 0, 2, {}}});
   EXPECT_EQ(out.status, StepStatus::kDegraded);
   EXPECT_EQ(out.run.status, congest::RunStatus::kCrashed);
+}
+
+TEST(ChurnEngine, EngineRejectedBagDegradesEpochInsteadOfThrowing) {
+  // Random insertions deepen the repaired tree until a bag exceeds what
+  // the BPT engine can compose. That epoch must end kDegraded with a note
+  // (its network run itself completed), drop the tree, and let run() go on
+  // instead of aborting with the engine's exception.
+  Options opts;
+  opts.d = 4;
+  opts.verify = false;
+  Query q;
+  q.formula = mso::parse(
+      "!exists vertex x, y, z. adj(x,y) & adj(y,z) & adj(x,z)");
+  ChurnEngine engine(gen::family("btd:64:3"), q, opts);
+  ChurnScript script;
+  script.random_events = 10;
+  script.seed = 7;
+  std::vector<StepOutcome> outs;
+  ASSERT_NO_THROW(outs = engine.run(script));
+  ASSERT_EQ(outs.size(), 11u);
+  EXPECT_TRUE(outs.front().ok());
+  const StepOutcome& last = outs.back();
+  EXPECT_EQ(last.status, StepStatus::kDegraded);
+  EXPECT_TRUE(last.run.ok());
+  EXPECT_NE(last.note.find("engine rejected a bag"), std::string::npos)
+      << last.note;
+  EXPECT_FALSE(engine.tree().has_value());
 }
 
 TEST(ChurnEngine, FrameLossFallsBackAndStaysCorrect) {

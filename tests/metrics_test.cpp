@@ -19,9 +19,12 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <map>
 #include <new>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "congest/faults.hpp"
@@ -127,6 +130,41 @@ TEST(MetricsHistogram, RecordAggregatesCountSumMax) {
   EXPECT_EQ(h.bucket(2), 2);  // 2, 3
   EXPECT_EQ(h.bucket(3), 1);  // 4
   EXPECT_EQ(h.bucket(7), 1);  // 100 in [64, 128)
+}
+
+TEST(MetricsHistogram, QuantilesClampedToObservedMax) {
+  metrics::Histogram h;
+  for (long long v : {3LL, 5LL, 40LL}) h.record(v);
+  // 40 lies in [32, 64): the bucket edge is 63, the observed max is 40.
+  EXPECT_EQ(h.p95(), 40);
+  EXPECT_EQ(h.quantile(1.0), 40);
+  EXPECT_EQ(h.p50(), 7);
+}
+
+TEST(MetricsHistogram, MeteredDecideRunKeepsQuantilesOrdered) {
+  metrics::Registry reg;
+  NetworkConfig cfg;
+  cfg.id_seed = 42;
+  cfg.metrics = &reg;
+  Network net(gen::path(8), cfg);
+  const auto out = dist::run_decision(net, mso::lib::connected(), 4);
+  ASSERT_TRUE(out.run.ok());
+  // Every histogram exports name.p50 / name.p95 / name.max as JSON fields.
+  std::ostringstream json;
+  reg.write_json_fields(json);
+  const std::string text = json.str();
+  std::map<std::string, std::map<std::string, long long>> hists;
+  const std::regex field("\"([a-z0-9_.]+)\\.(p50|p95|max)\":(-?[0-9]+)");
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), field);
+       it != std::sregex_iterator(); ++it)
+    hists[(*it)[1]][(*it)[2]] = std::stoll((*it)[3]);
+  ASSERT_FALSE(hists.empty());
+  for (const auto& [name, q] : hists) {
+    if (!q.count("p50")) continue;  // a gauge whose name ends in ".max"
+    ASSERT_EQ(q.size(), 3u) << name;
+    EXPECT_LE(q.at("p50"), q.at("p95")) << name;
+    EXPECT_LE(q.at("p95"), q.at("max")) << name;
+  }
 }
 
 TEST(MetricsGauge, MaxOfIsRunningMax) {

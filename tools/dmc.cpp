@@ -543,8 +543,10 @@ int run_churn(const Args& args, Graph g, churn::Query query, int d) {
   if (last.verdict.treedepth_exceeded) {
     std::printf("final: treedepth > %d\n", d);
   } else if (!last.ok()) {
+    // A completed run that still degraded is an engine rejection (note).
     std::printf("final: degraded (%s); verdict untrusted\n",
-                congest::to_string(last.run.status));
+                last.run.ok() ? last.note.c_str()
+                              : congest::to_string(last.run.status));
   } else {
     switch (engine.query().pipeline) {
       case churn::Pipeline::kDecision:
