@@ -65,10 +65,20 @@ TEST(Courcelle, DecideLabeled) {
   EXPECT_FALSE(seq::decide(g, lib::properly_2_colored()));
 }
 
+// A library formula with its name. PrintTo makes gtest describe the parameter
+// by name alone: the default printer shows pointer values, which change from
+// one build to the next and would leak into the CTest test names.
+struct NamedFormula {
+  const char* name;
+  FormulaPtr formula;
+  friend void PrintTo(const NamedFormula& p, std::ostream* os) {
+    *os << p.name;
+  }
+};
+
 // The central property: engine decisions == brute-force MSO semantics on
 // randomized graphs, for every closed formula in the library.
-class OracleDecision
-    : public ::testing::TestWithParam<std::pair<const char*, FormulaPtr>> {};
+class OracleDecision : public ::testing::TestWithParam<NamedFormula> {};
 
 TEST_P(OracleDecision, MatchesBruteForce) {
   const auto& [name, formula] = GetParam();
@@ -83,14 +93,14 @@ TEST_P(OracleDecision, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     FormulaLibrary, OracleDecision,
     ::testing::Values(
-        std::make_pair("triangle_free", lib::triangle_free()),
-        std::make_pair("connected", lib::connected()),
-        std::make_pair("acyclic", lib::acyclic()),
-        std::make_pair("2colorable", lib::k_colorable(2)),
-        std::make_pair("isolated", lib::has_isolated_vertex()),
-        std::make_pair("isolated_lowrank", lib::has_isolated_vertex_lowrank()),
-        std::make_pair("deg3", lib::has_vertex_of_degree_ge(3))),
-    [](const auto& info) { return info.param.first; });
+        NamedFormula{"triangle_free", lib::triangle_free()},
+        NamedFormula{"connected", lib::connected()},
+        NamedFormula{"acyclic", lib::acyclic()},
+        NamedFormula{"2colorable", lib::k_colorable(2)},
+        NamedFormula{"isolated", lib::has_isolated_vertex()},
+        NamedFormula{"isolated_lowrank", lib::has_isolated_vertex_lowrank()},
+        NamedFormula{"deg3", lib::has_vertex_of_degree_ge(3)}),
+    [](const auto& info) { return info.param.name; });
 
 TEST(Courcelle, DecideMatchesBruteForceOnBoundedTreedepthFamily) {
   gen::Rng rng(21);
