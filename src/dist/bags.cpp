@@ -67,6 +67,26 @@ using congest::NodeCtx;
   return true;
 }();
 
+/// Bit i set iff the vertex / edge carries label names[i]: the label-bit
+/// order both the protocol and its coordinator-side mirror use.
+std::uint32_t vertex_label_bits(const Graph& g,
+                                const std::vector<std::string>& names,
+                                VertexId v) {
+  std::uint32_t bits = 0;
+  for (std::size_t i = 0; i < names.size(); ++i)
+    if (g.vertex_has_label(names[i], v)) bits |= 1u << i;
+  return bits;
+}
+
+std::uint32_t edge_label_bits(const Graph& g,
+                              const std::vector<std::string>& names,
+                              EdgeId e) {
+  std::uint32_t bits = 0;
+  for (std::size_t i = 0; i < names.size(); ++i)
+    if (g.edge_has_label(names[i], e)) bits |= 1u << i;
+  return bits;
+}
+
 class BagsProgram : public congest::NodeProgram {
  public:
   BagsProgram(VertexId parent_id, std::vector<VertexId> children_ids,
@@ -184,29 +204,19 @@ BagsResult run_bags(congest::Network& net, const ElimTreeResult& tree,
     throw std::invalid_argument("run_bags: elimination tree construction failed");
   congest::PhaseScope trace_scope(net, "bags");
   const Graph& g = net.graph();
-  auto vbits = [&](VertexId v) {
-    std::uint32_t bits = 0;
-    for (std::size_t i = 0; i < vlabel_names.size(); ++i)
-      if (g.vertex_has_label(vlabel_names[i], v)) bits |= 1u << i;
-    return bits;
-  };
-  auto ebits = [&](EdgeId e) {
-    std::uint32_t bits = 0;
-    for (std::size_t i = 0; i < elabel_names.size(); ++i)
-      if (g.edge_has_label(elabel_names[i], e)) bits |= 1u << i;
-    return bits;
-  };
   std::vector<std::unique_ptr<congest::NodeProgram>> programs;
   std::vector<BagsProgram*> handles;
   for (int v = 0; v < net.n(); ++v) {
     std::vector<std::tuple<VertexId, Weight, std::uint32_t>> incident;
     for (auto [w, e] : g.incident(v))
-      incident.emplace_back(net.id_of_vertex(w), g.edge_weight(e), ebits(e));
+      incident.emplace_back(net.id_of_vertex(w), g.edge_weight(e),
+                            edge_label_bits(g, elabel_names, e));
     std::vector<VertexId> children_ids;
     for (int c : tree.children[v]) children_ids.push_back(net.id_of_vertex(c));
     auto p = std::make_unique<BagsProgram>(
         tree.parent[v] < 0 ? -1 : net.id_of_vertex(tree.parent[v]),
-        std::move(children_ids), g.vertex_weight(v), vbits(v),
+        std::move(children_ids), g.vertex_weight(v),
+        vertex_label_bits(g, vlabel_names, v),
         std::move(incident));
     handles.push_back(p.get());
     programs.push_back(std::move(p));
@@ -222,6 +232,44 @@ BagsResult run_bags(congest::Network& net, const ElimTreeResult& tree,
     result.bags[v] = handles[v]->bag();
   }
   return result;
+}
+
+std::vector<LocalBag> bags_for_tree(
+    const congest::Network& net, const ElimTreeResult& tree,
+    const std::vector<std::string>& vlabel_names,
+    const std::vector<std::string>& elabel_names) {
+  if (!tree.success)
+    throw std::invalid_argument("bags_for_tree: tree invalid");
+  const Graph& g = net.graph();
+  const int n = g.num_vertices();
+  std::vector<LocalBag> bags(n);
+  std::vector<int> path;
+  for (int v = 0; v < n; ++v) {
+    path.clear();
+    for (int x = v; x >= 0; x = tree.parent[x]) path.push_back(x);
+    std::sort(path.begin(), path.end(), [&](int a, int b) {
+      return net.id_of_vertex(a) < net.id_of_vertex(b);
+    });
+    LocalBag& b = bags[v];
+    for (int x : path) {
+      b.bag.push_back(net.id_of_vertex(x));
+      b.weights.push_back(g.vertex_weight(x));
+      b.vlabel_bits.push_back(vertex_label_bits(g, vlabel_names, x));
+    }
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      for (std::size_t j = i + 1; j < path.size(); ++j) {
+        const EdgeId e = g.edge_id(path[i], path[j]);
+        if (e < 0) continue;
+        LocalBag::BagEdge edge;
+        edge.i = static_cast<int>(i);
+        edge.j = static_cast<int>(j);
+        edge.weight = g.edge_weight(e);
+        edge.elabel_bits = edge_label_bits(g, elabel_names, e);
+        b.edges.push_back(edge);
+      }
+    }
+  }
+  return bags;
 }
 
 }  // namespace dmc::dist

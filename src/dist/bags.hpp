@@ -51,4 +51,13 @@ BagsResult run_bags(congest::Network& net, const ElimTreeResult& tree,
                     const std::vector<std::string>& vlabel_names,
                     const std::vector<std::string>& elabel_names);
 
+/// Coordinator-side mirror of the protocol: bag of v = its root path,
+/// members sorted by network id, edges = G[B] in (i, j) order —
+/// bit-identical to what run_bags distributes, for zero rounds. The churn
+/// engine rebuilds a repaired tree's bags with it.
+std::vector<LocalBag> bags_for_tree(
+    const congest::Network& net, const ElimTreeResult& tree,
+    const std::vector<std::string>& vlabel_names,
+    const std::vector<std::string>& elabel_names);
+
 }  // namespace dmc::dist

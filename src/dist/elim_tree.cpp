@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "congest/wire.hpp"
 
@@ -242,7 +243,9 @@ class ElimTreeProgram : public congest::NodeProgram {
 
 ElimTreeResult run_elim_tree(congest::Network& net, int d,
                              const ElimTreeOptions& opts) {
-  if (d < 1) throw std::invalid_argument("run_elim_tree: d >= 1 required");
+  if (d < 1 || d > kMaxBudget)
+    throw std::invalid_argument("run_elim_tree: d must be in [1, " +
+                                std::to_string(kMaxBudget) + "]");
   congest::PhaseScope trace_scope(net, "elim-tree");
   std::vector<std::unique_ptr<congest::NodeProgram>> programs;
   std::vector<ElimTreeProgram*> handles;

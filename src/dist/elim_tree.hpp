@@ -49,7 +49,12 @@ struct ElimTreeOptions {
   bool sparse_flood = false;
 };
 
+/// The largest treedepth budget d whose Algorithm 2 schedule of
+/// (2^d - 1)(2^d + 3) + 1 rounds fits an int.
+inline constexpr int kMaxBudget = 15;
+
 /// Runs Algorithm 2 on the network. Stats accumulate in net.stats().
+/// Throws std::invalid_argument unless 1 <= d <= kMaxBudget.
 ElimTreeResult run_elim_tree(congest::Network& net, int d,
                              const ElimTreeOptions& opts = {});
 

@@ -21,22 +21,20 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "bpt/engine.hpp"
+#include "dist/query.hpp"
 #include "graph/graph.hpp"
-#include "mso/ast.hpp"
 #include "serve/protocol.hpp"
 
 namespace dmc::serve {
 
-/// A validated query with its parsed formula, slot layout, engine config
-/// (the batching key), and materialized input graph.
+/// A validated query with its pipeline query (parsed formula and free
+/// variables), engine config (the batching key), and materialized input
+/// graph.
 struct Prepared {
   Query q;
-  mso::FormulaPtr formula;
-  std::vector<std::pair<std::string, mso::Sort>> frees;
+  dist::Query query;
   std::string formula_text;  // printed lowered formula
   bpt::EngineConfig cfg;
   Graph graph;

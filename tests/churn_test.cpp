@@ -210,7 +210,7 @@ TEST(ChurnBags, MirrorsDistributedBagsExactly) {
     ASSERT_TRUE(tree.success);
     const dist::BagsResult protocol = dist::run_bags(net, tree, {"red"}, {"mark"});
     ASSERT_TRUE(protocol.run.ok());
-    const auto mirror = bags_for_tree(net, tree, {"red"}, {"mark"});
+    const auto mirror = dist::bags_for_tree(net, tree, {"red"}, {"mark"});
     ASSERT_EQ(mirror.size(), protocol.bags.size());
     for (int v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(mirror[v].bag, protocol.bags[v].bag) << "v=" << v;
