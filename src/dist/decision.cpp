@@ -107,8 +107,6 @@ DecisionOutcome run_decision_solve(congest::Network& net,
   const mso::FormulaPtr lowered = mso::lower(formula);
   std::optional<bpt::Engine> own_engine;
   bpt::Engine& engine = engine_or_own(engine_in, own_engine, *lowered);
-  if (tree.success)
-    out.tree_depth = *std::max_element(tree.depth.begin(), tree.depth.end());
   DecisionAlgebra algebra(engine, lowered);
   const auto& cfg = engine.config();
   const TreeFold<DecisionAlgebra> fold = run_tree_fold(

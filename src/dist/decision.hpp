@@ -27,7 +27,6 @@ struct DecisionOutcome {
   long rounds_elim = 0;
   long rounds_bags = 0;
   long rounds_updown = 0;
-  int tree_depth = 0;          // depth of the constructed elimination tree
   std::size_t num_classes = 0;      // |C| reached by the engine
   int max_class_bits = 0;           // bits of the largest class message
   long folds = 0;                   // BPT folds performed (= n on a full run)
