@@ -7,6 +7,7 @@
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "congest/net_metrics.hpp"
 #include "congest/reliable.hpp"
@@ -209,12 +210,13 @@ Network::Network(const Graph& g, NetworkConfig cfg)
   sched_done_.resize(n_, 0);
   sched_asleep_.resize(n_, 0);
   wake_request_.resize(n_, kNoWake);
+  wake_queued_.resize(n_, -1);
   wake_heap_.reserve(n_);
   restless_.reserve(n_);
   restless_pos_.resize(n_, -1);
   active_.reserve(n_);
-  pending_active_.reserve(2 * static_cast<std::size_t>(links));
-  active_mark_.resize(n_, 0);
+  active_bits_.resize((static_cast<std::size_t>(n_) + 63) / 64, 0);
+  active_words_.resize((active_bits_.size() + 63) / 64, 0);
   if (cfg_.metrics == nullptr) cfg_.metrics = metrics::global();
   if (cfg_.metrics != nullptr) {
     metrics_ = std::make_unique<detail::NetMetrics>();
@@ -239,9 +241,10 @@ std::size_t Network::memory_bytes() const {
   total += 2 * links * sizeof(Message);          // inbox_ + outbox_
   total += links * sizeof(int);                  // sent_links_
   total += links * sizeof(int);                  // inbox_links_ (reserved)
-  total += 2 * links * sizeof(int);              // pending_active_ (reserved)
   total += n_ * (2 * sizeof(char) + 4 * sizeof(int));  // scheduler arrays
   total += n_ * (sizeof(std::pair<int, int>) + sizeof(int));  // heap + active
+  total += (active_bits_.size() + active_words_.size()) *
+           sizeof(std::uint64_t);                // active-set bitmap
   total += (link_round_bits_.size() + link_total_bits_.size()) *
                sizeof(long long) +
            link_round_msgs_.size() * sizeof(long);
@@ -253,6 +256,7 @@ void Network::sched_reset() {
   std::fill(sched_done_.begin(), sched_done_.end(), 0);
   std::fill(sched_asleep_.begin(), sched_asleep_.end(), 0);
   std::fill(wake_request_.begin(), wake_request_.end(), kNoWake);
+  std::fill(wake_queued_.begin(), wake_queued_.end(), -1);
   wake_heap_.clear();
   // Every node starts restless: the first round steps everyone, exactly
   // like dense stepping, and the first note_stepped() settles the flags.
@@ -262,9 +266,9 @@ void Network::sched_reset() {
     restless_pos_[v] = v;
   }
   active_.clear();
-  pending_active_.clear();
-  std::fill(active_mark_.begin(), active_mark_.end(), 0);
-  active_stamp_ = 0;
+  // A run that stopped at its round cap may leave next-round marks behind.
+  std::fill(active_bits_.begin(), active_bits_.end(), 0);
+  std::fill(active_words_.begin(), active_words_.end(), 0);
   sched_done_count_ = 0;
 }
 
@@ -290,30 +294,34 @@ void Network::sched_request(int v, int round) {
   req = (req == kNoWake) ? round : std::min(req, round);
 }
 
-void Network::sched_activate(int v) { pending_active_.push_back(v); }
+void Network::sched_activate(int v) {
+  const std::size_t word = static_cast<std::size_t>(v) / 64;
+  if (active_bits_[word] == 0) active_words_[word / 64] |= 1ULL << (word % 64);
+  active_bits_[word] |= 1ULL << (v % 64);
+}
 
 void Network::sched_build_active() {
-  active_.clear();
-  const int stamp = ++active_stamp_;
-  auto push = [&](int v) {
-    if (active_mark_[v] == stamp) return;
-    active_mark_[v] = stamp;
-    active_.push_back(v);
-  };
-  for (int v : restless_) push(v);
+  for (int v : restless_) sched_activate(v);
   const auto later = [](const std::pair<int, int>& a,
                         const std::pair<int, int>& b) { return a > b; };
   while (!wake_heap_.empty() && wake_heap_.front().first <= round_) {
-    push(wake_heap_.front().second);
+    sched_activate(wake_heap_.front().second);
     std::pop_heap(wake_heap_.begin(), wake_heap_.end(), later);
     wake_heap_.pop_back();
   }
-  for (int v : pending_active_) push(v);
-  pending_active_.clear();
-  // Sorted ascending: serial stepping visits the active set in the same
-  // (per-vertex) order dense stepping would, so annotation streams and any
-  // order-sensitive protocol bug reproduce identically.
-  std::sort(active_.begin(), active_.end());
+  // Drain the bitmap low to high: serial stepping visits the active set in
+  // the same (ascending vertex) order dense stepping would, so annotation
+  // streams and any order-sensitive protocol bug reproduce identically.
+  active_.clear();
+  for (std::size_t s = 0; s < active_words_.size(); ++s) {
+    for (std::uint64_t words = std::exchange(active_words_[s], 0); words != 0;
+         words &= words - 1) {
+      const std::size_t word = s * 64 + std::countr_zero(words);
+      for (std::uint64_t bits = std::exchange(active_bits_[word], 0);
+           bits != 0; bits &= bits - 1)
+        active_.push_back(static_cast<int>(word * 64) + std::countr_zero(bits));
+    }
+  }
 }
 
 void Network::sched_note_stepped(int v, bool done_now) {
@@ -326,7 +334,10 @@ void Network::sched_note_stepped(int v, bool done_now) {
   if (req != kNoWake) {
     sched_asleep_[v] = 1;
     restless_remove(v);
-    if (req != kSleepForever) {
+    // A traffic-woken node re-arming the wake it already has queued would
+    // push an exact duplicate: same round, same vertex, same step set.
+    if (req != kSleepForever && req != wake_queued_[v]) {
+      wake_queued_[v] = req;
       wake_heap_.emplace_back(req, v);
       std::push_heap(wake_heap_.begin(), wake_heap_.end(),
                      [](const std::pair<int, int>& a,

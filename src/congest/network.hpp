@@ -424,8 +424,8 @@ class Network {
   /// trace-event sequence is identical to a serial step.
   void step_programs(std::vector<std::unique_ptr<NodeProgram>>& programs,
                      int threads);
-  /// Steps exactly the vertices in active_ (pre-sorted ascending; kReverse
-  /// iterates it backwards), same annotation-buffering contract.
+  /// Steps exactly the vertices in active_ (ascending; kReverse iterates
+  /// it backwards), same annotation-buffering contract.
   void step_active(std::vector<std::unique_ptr<NodeProgram>>& programs,
                    int threads);
 
@@ -436,9 +436,9 @@ class Network {
   // made last round, or a due wake_at(). All bookkeeping runs serially
   // between the parallel step join and delivery.
   void sched_reset();
-  void sched_build_active();          // restless + due wakes + pending triggers
+  void sched_build_active();          // restless + due wakes + marked triggers
   void sched_note_stepped(int v, bool done_now);  // consume wake request
-  void sched_activate(int v);         // queue a trigger for the next round
+  void sched_activate(int v);         // mark v for the next active set
   void sched_request(int v, int round);  // NodeCtx::wake_at / sleep backend
   void restless_add(int v);
   void restless_remove(int v);
@@ -505,13 +505,20 @@ class Network {
   std::vector<char> sched_done_;     // last observed done() per vertex
   std::vector<char> sched_asleep_;   // vertex holds an unconsumed sleep/wake
   std::vector<int> wake_request_;    // per-vertex request written during a step
+  // Round of each vertex's last wake_heap_ push (-1 = none). An entry whose
+  // round is past round_ is still queued, so re-requesting that same round
+  // would only push an exact duplicate; sched_note_stepped drops it.
+  std::vector<int> wake_queued_;
   std::vector<std::pair<int, int>> wake_heap_;  // (round, vertex) min-heap
   std::vector<int> restless_;        // compact list: !done && !asleep
   std::vector<int> restless_pos_;    // vertex -> index in restless_ (-1 absent)
-  std::vector<int> active_;          // this round's step list, sorted
-  std::vector<int> pending_active_;  // traffic/sent triggers for next round
-  std::vector<int> active_mark_;     // dedup stamps for active_ building
-  int active_stamp_ = 0;
+  std::vector<int> active_;          // this round's step list, ascending
+  // Next round's active set as a bitmap (bit v of active_bits_) plus one
+  // summary bit per nonzero active_bits_ word. Marking dedups for free, and
+  // sched_build_active walks only the marked words, low to high, so active_
+  // comes out ascending with no sort.
+  std::vector<std::uint64_t> active_bits_;
+  std::vector<std::uint64_t> active_words_;
   int sched_done_count_ = 0;
   // Trace state: driver span stack + the current annotation sub-span
   // ("" = none). Touched only when cfg_.sink != nullptr.

@@ -9,8 +9,13 @@
 // label so CI can run them standalone: ctest -L scale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/conformance.hpp"
@@ -22,6 +27,35 @@
 #include "dist/optmarked.hpp"
 #include "graph/generators.hpp"
 #include "mso/formulas.hpp"
+
+// Global allocation counter for the scheduler allocation test (the same
+// pattern as ObsTrace.DisabledPathDoesNotAllocatePerRound). Counting is
+// always on (cheap, relaxed atomic); the test reads it around run().
+namespace {
+std::atomic<long> g_allocations{0};
+}
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+// The replaced operator new above allocates with malloc, so freeing with
+// free() is the matching deallocation; GCC cannot see the pairing.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace dmc {
 namespace {
@@ -213,6 +247,112 @@ TEST(ScaleEquivalence, FastForwardSkipsQuietStretches) {
   EXPECT_TRUE(sparse_ok);
   EXPECT_EQ(sparse_rounds, dense_rounds);
   EXPECT_LT(sparse_steps, dense_steps / 2);
+}
+
+using congest::Message;
+using congest::NodeCtx;
+using congest::NodeProgram;
+
+using Programs = std::vector<std::unique_ptr<NodeProgram>>;
+
+TEST(ScaleScheduler, RearmedWakeKeepsActiveStepsAndDoesNotAllocate) {
+  // The star's centre sends to every leaf in rounds [0, kSends). Each leaf
+  // re-arms the same wake (round kWake) on every step, the kSends
+  // traffic-driven ones included, as phase-scheduled protocols do. Each
+  // re-arm repeats a wake that is still queued, so the scheduler keeps one
+  // heap entry per leaf instead of one per step — and, the heap staying
+  // within its pre-sized capacity, an untraced run allocates nothing.
+  static constexpr int kLeaves = 4, kSends = 20, kWake = 40;
+  class Centre : public NodeProgram {
+   public:
+    void on_round(NodeCtx& ctx) override {
+      if (ctx.round() >= kSends) return;
+      for (int p = 0; p < ctx.degree(); ++p) ctx.send(p, Message({}, 1));
+    }
+    bool done(const NodeCtx& ctx) const override {
+      return ctx.round() >= kSends;
+    }
+  };
+  class Leaf : public NodeProgram {
+   public:
+    void on_round(NodeCtx& ctx) override { ctx.wake_at(kWake); }
+    bool done(const NodeCtx& ctx) const override {
+      return ctx.round() >= kWake;
+    }
+  };
+  congest::Network net(gen::star(kLeaves));
+  Programs programs;
+  programs.push_back(std::make_unique<Centre>());
+  for (int i = 0; i < kLeaves; ++i) programs.push_back(std::make_unique<Leaf>());
+
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  const long rounds = net.run(programs);
+  const long after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(rounds, kWake + 1);
+  // The centre steps in rounds 0..kSends; a leaf in rounds 0..kSends (the
+  // first step, then each delivery) and once more at its wake.
+  EXPECT_EQ(net.stats().active_steps,
+            (kSends + 1) + static_cast<long long>(kLeaves) * (kSends + 2));
+  EXPECT_EQ(after - before, 0)
+      << "untraced Network::run() allocated " << (after - before)
+      << " times over " << rounds << " rounds";
+}
+
+TEST(ScaleScheduler, StepOrderIsAscendingForwardDescendingReverse) {
+  // Nodes on a 150-cycle (three bitmap words) wake on scattered schedules
+  // and some send, so each round's active set is a scattered subset. Every
+  // round must step it in ascending vertex order, or descending under
+  // kReverse, and both orders must step the same sets.
+  static constexpr int kNodes = 150, kLast = 30;
+  using Log = std::vector<std::pair<int, int>>;  // (round, vertex id)
+  class Scattered : public NodeProgram {
+   public:
+    explicit Scattered(Log& log) : log_(log) {}
+    void on_round(NodeCtx& ctx) override {
+      const int r = ctx.round();
+      log_.emplace_back(r, ctx.id());
+      if (r >= kLast) return;
+      if (ctx.id() % 7 == r % 7) ctx.send(0, Message({}, 1));
+      ctx.wake_at(std::min(kLast, r + 1 + (ctx.id() * 13) % 5));
+    }
+    bool done(const NodeCtx& ctx) const override {
+      return ctx.round() >= kLast;
+    }
+
+   private:
+    Log& log_;
+  };
+  auto run = [&](congest::NetworkConfig::StepOrder order) {
+    congest::NetworkConfig cfg;
+    cfg.step_order = order;
+    congest::Network net(gen::cycle(kNodes), cfg);
+    Log log;
+    Programs programs;
+    for (int v = 0; v < kNodes; ++v)
+      programs.push_back(std::make_unique<Scattered>(log));
+    net.run(programs);
+    EXPECT_EQ(net.stats().active_steps, static_cast<long long>(log.size()));
+    return log;
+  };
+  const Log forward = run(congest::NetworkConfig::StepOrder::kForward);
+  const Log reverse = run(congest::NetworkConfig::StepOrder::kReverse);
+  ASSERT_EQ(forward.size(), reverse.size());
+  bool partial_round = false;
+  for (std::size_t i = 0; i < forward.size();) {
+    std::size_t j = i;
+    while (j < forward.size() && forward[j].first == forward[i].first) ++j;
+    for (std::size_t k = i + 1; k < j; ++k)
+      EXPECT_LT(forward[k - 1].second, forward[k].second)
+          << "round " << forward[i].first;
+    // The same round's reverse steps are the forward ones, back to front.
+    for (std::size_t k = i; k < j; ++k)
+      EXPECT_EQ(reverse[k], forward[i + (j - 1 - k)])
+          << "round " << forward[i].first;
+    partial_round |= j - i < static_cast<std::size_t>(kNodes) &&
+                     forward[j - 1].second - forward[i].second >= 64;
+    i = j;
+  }
+  EXPECT_TRUE(partial_round) << "no round stepped a scattered multi-word set";
 }
 
 }  // namespace
