@@ -18,7 +18,8 @@ using congest::NodeCtx;
 /// member a fixed id_bits(n) id + zigzag-varint weight + varuint label
 /// bits; then a varuint edge count, then per edge two bag-local indices
 /// (fixed width, wide enough for the largest index) + zigzag-varint
-/// weight + varuint label bits. wire_bits() measures this exact encoding.
+/// weight + varuint label bits. A bag's declared size is this exact
+/// encoding, measured.
 [[maybe_unused]] const bool wire_codecs_registered = [] {
   audit::register_codec<LocalBag>(
       "dist::LocalBag",
@@ -111,10 +112,9 @@ class BagsProgram : public congest::NodeProgram {
         bag_.vlabel_bits = {own_vlabels_};
         adopt_bag(ctx);
       } else {
-        const int pport = ctx.port_of(parent_id_);
-        if (auto payload = reasm_.poll(ctx, pport)) {
-          const LocalBag parent_bag = std::any_cast<LocalBag>(*payload);
-          extend_from(parent_bag, ctx);
+        if (parent_port_ < 0) parent_port_ = ctx.port_of(parent_id_);
+        if (auto payload = reasm_.poll(ctx, parent_port_)) {
+          extend_from(std::any_cast<LocalBag>(std::move(*payload)), ctx);
           adopt_bag(ctx);
         }
       }
@@ -140,17 +140,22 @@ class BagsProgram : public congest::NodeProgram {
       std::snprintf(label, sizeof(label), "level=%zu", bag_.bag.size());
       ctx.annotate(label);
     }
+    if (children_ids_.empty()) return;
+    // Boxed and measured once; every child's queue gets a copy of the box.
+    const std::any payload(bag_);
+    const long bits =
+        audit::measured_bits(payload, audit::WireContext{ctx.n(), 0});
     for (VertexId child : children_ids_) {
       const int port = ctx.port_of(child);
       if (port < 0) throw std::logic_error("BagsProgram: child not adjacent");
-      sender_.enqueue(port, bag_, bag_.wire_bits(ctx.n()));
+      sender_.enqueue(port, payload, bits);
     }
   }
 
   /// B_self = B_parent ∪ {self}; edges gain self's links into the bag.
-  void extend_from(const LocalBag& parent, NodeCtx& ctx) {
+  void extend_from(LocalBag&& parent, NodeCtx& ctx) {
     const VertexId self = ctx.id();
-    bag_ = parent;
+    bag_ = std::move(parent);
     const auto pos =
         std::lower_bound(bag_.bag.begin(), bag_.bag.end(), self) -
         bag_.bag.begin();
@@ -181,6 +186,7 @@ class BagsProgram : public congest::NodeProgram {
   }
 
   VertexId parent_id_;
+  int parent_port_ = -1;  // resolved from parent_id_ on the first step
   std::vector<VertexId> children_ids_;
   Weight own_weight_;
   std::uint32_t own_vlabels_;
@@ -192,10 +198,6 @@ class BagsProgram : public congest::NodeProgram {
 };
 
 }  // namespace
-
-long LocalBag::wire_bits(int n) const {
-  return audit::measured_bits(*this, audit::WireContext{n, 0});
-}
 
 BagsResult run_bags(congest::Network& net, const ElimTreeResult& tree,
                     const std::vector<std::string>& vlabel_names,

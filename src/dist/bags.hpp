@@ -32,9 +32,6 @@ struct LocalBag {
   std::vector<BagEdge> edges;  // G[B], ordered lexicographically
 
   bool operator==(const LocalBag&) const = default;
-
-  /// Declared wire size in bits.
-  long wire_bits(int n) const;
 };
 
 struct BagsResult {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -37,6 +38,7 @@ struct OptAlgebra {
   using Summary = bpt::OptTable;
   using Down = bpt::TypeId;
   struct Node {
+    LocalContext local;  // the solver reads its plan and graph until send_down
     std::unique_ptr<bpt::OptSolver> solver;
   };
   static constexpr bool kTables = true;
@@ -47,10 +49,11 @@ struct OptAlgebra {
              const Frees& frees)
       : engine(engine), evaluator(engine, lowered, frees) {}
 
-  Summary fold(Node& node, const LocalContext& local, VertexId,
+  Summary fold(Node& node, LocalContext&& local, VertexId,
                std::vector<Summary>&& children) {
+    node.local = std::move(local);
     node.solver = std::make_unique<bpt::OptSolver>(
-        engine, local.plan, local.graph, std::move(children));
+        engine, node.local.plan, node.local.graph, std::move(children));
     const bpt::OptTable& table = node.solver->root_table();
     max_table_entries =
         std::max(max_table_entries, static_cast<int>(table.size()));
@@ -68,17 +71,20 @@ struct OptAlgebra {
       return bpt::kInvalidType;
     return std::nullopt;
   }
-  /// Top-down step: forward the children's optimal classes (ARGOPT).
+  /// Top-down step: forward the children's optimal classes (ARGOPT). The
+  /// node's solver and context are not needed after it.
   template <class Send>
   void send_down(Node& node, const Down& type, std::size_t children,
                  Send send) {
     if (type == bpt::kInvalidType) {
       for (std::size_t i = 0; i < children; ++i) send(i, InfeasibleMsg{}, 1);
-      return;
+    } else {
+      const auto sol = node.solver->reconstruct(type);
+      for (std::size_t i = 0; i < children; ++i)
+        send(i, AssignMsg{sol.input_choices[i]}, class_bits(engine));
     }
-    const auto sol = node.solver->reconstruct(type);
-    for (std::size_t i = 0; i < children; ++i)
-      send(i, AssignMsg{sol.input_choices[i]}, class_bits(engine));
+    node.solver.reset();
+    node.local = {};
   }
 
   bpt::Engine& engine;
@@ -149,27 +155,29 @@ OptimizationOutcome run_solve_impl(congest::Network& net,
 
   // Assemble the selected set from per-node markings (Algorithm 1's
   // top-down phase: each node marks itself and its incident bag edges).
+  // A bag lists its members by ascending id, so bag index i is terminal i.
   const Graph& g = net.graph();
   out.vertices.assign(g.num_vertices(), false);
   out.edges.assign(g.num_edges(), false);
   for (int v = 0; v < net.n(); ++v) {
     const bpt::TypeId c = *fold.at(v).down();
-    const LocalContext& lc = fold.at(v).local();
+    const LocalBag& bag = bags[v];
     const VertexId self_id = net.id_of_vertex(v);
     if (var_sort == mso::Sort::VertexSet) {
-      std::vector<VertexId> bag_globals;
-      for (VertexId bl : lc.bag_local) bag_globals.push_back(lc.globals[bl]);
-      const auto selected =
-          bpt::selected_vertices(engine, c, bag_globals, 0);
+      const auto selected = bpt::selected_vertices(engine, c, bag.bag, 0);
       if (std::find(selected.begin(), selected.end(), self_id) !=
           selected.end())
         out.vertices[v] = true;
     } else {
-      const auto selected =
-          bpt::selected_edges(engine, lc.graph, c, lc.bag_local, 0);
-      for (EdgeId le : selected) {
-        const Edge& e = lc.graph.edge(le);
-        const VertexId ga = lc.globals[e.u], gb = lc.globals[e.v];
+      // The bag-local graph: bag member i is local vertex i.
+      const int k = static_cast<int>(bag.bag.size());
+      Graph lg(k);
+      for (const auto& e : bag.edges) lg.add_edge(e.i, e.j);
+      std::vector<VertexId> terminals(k);
+      std::iota(terminals.begin(), terminals.end(), 0);
+      for (EdgeId le : bpt::selected_edges(engine, lg, c, terminals, 0)) {
+        const Edge& e = lg.edge(le);
+        const VertexId ga = bag.bag[e.u], gb = bag.bag[e.v];
         if (ga != self_id && gb != self_id) continue;  // deeper endpoint marks
         const EdgeId global_edge =
             g.edge_id(net.vertex_of_id(ga), net.vertex_of_id(gb));

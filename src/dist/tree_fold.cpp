@@ -5,12 +5,7 @@
 
 namespace dmc::dist {
 
-NodeSite node_site(const congest::Network& net, const ElimTreeResult& tree,
-                   const LocalBag& bag, int v,
-                   const std::vector<std::string>& vlabels,
-                   const std::vector<std::string>& elabels,
-                   bool negate_weights) {
-  const Graph& g = net.graph();
+NodePorts node_ports(const Graph& g, const ElimTreeResult& tree, int v) {
   auto port_to = [&](int w) {
     const int port = g.port_of(v, w);
     if (port < 0)
@@ -19,22 +14,25 @@ NodeSite node_site(const congest::Network& net, const ElimTreeResult& tree,
                              " is not a graph edge");
     return port;
   };
-  NodeSite site;
-  if (tree.parent[v] >= 0) site.parent_port = port_to(tree.parent[v]);
-  std::vector<VertexId> child_ids;
-  for (int c : tree.children[v]) {
-    child_ids.push_back(net.id_of_vertex(c));
-    site.child_ports.push_back(port_to(c));
-  }
-  site.local = make_local_context(bag, child_ids, vlabels, elabels);
-  if (negate_weights) {
-    Graph& lg = site.local.graph;
+  NodePorts ports;
+  if (tree.parent[v] >= 0) ports.parent_port = port_to(tree.parent[v]);
+  for (int c : tree.children[v]) ports.child_ports.push_back(port_to(c));
+  return ports;
+}
+
+LocalContext fold_context(const LocalBag& bag,
+                          const std::vector<VertexId>& child_ids,
+                          const FoldSetup& setup) {
+  LocalContext local =
+      make_local_context(bag, child_ids, setup.vlabels, setup.elabels);
+  if (setup.negate_weights) {
+    Graph& lg = local.graph;
     for (VertexId lv = 0; lv < lg.num_vertices(); ++lv)
       lg.set_vertex_weight(lv, -lg.vertex_weight(lv));
     for (EdgeId le = 0; le < lg.num_edges(); ++le)
       lg.set_edge_weight(le, -lg.edge_weight(le));
   }
-  return site;
+  return local;
 }
 
 bpt::Engine& engine_or_own(bpt::Engine* given, std::optional<bpt::Engine>& own,

@@ -19,8 +19,10 @@
 //   using Node;      // per-node algebra state (default-constructible)
 //   static constexpr bool kTables;                      // transport, below
 //   static constexpr const char *kUpMark, *kDownMark;   // annotate() names
-//   Summary fold(Node&, const LocalContext&, VertexId self,
+//   Summary fold(Node&, LocalContext&&, VertexId self,
 //                std::vector<Summary>&& children);
+//     // the context is built for this call and dropped after it, unless
+//     // the algebra moves it into its Node (const LocalContext& also binds)
 //   Down root(Node&, const Summary&);                   // the root rule
 //   static std::optional<Down> down_of(const std::any&);  // parse down msg
 //   void send_down(Node&, const Down&, std::size_t children, Send send);
@@ -129,24 +131,33 @@ Table get_table(audit::BitReader& r, Get get) {
   return table;
 }
 
-/// Where one node sits in the elimination tree, with its local context.
-/// Tree edges are graph edges (Algorithm 2 adopts children among
-/// neighbours; churn repair keeps the invariant), so both ends are ports.
-struct NodeSite {
-  LocalContext local;
+/// Where one node sits in the elimination tree. Tree edges are graph edges
+/// (Algorithm 2 adopts children among neighbours; churn repair keeps the
+/// invariant), so both ends are ports.
+struct NodePorts {
   int parent_port = -1;          // -1 at the root
   std::vector<int> child_ports;  // elimination-tree order = fold slot order
 };
 
-/// Builds the site of graph vertex `v`. Bag label bits are read in the
-/// order of `vlabels` / `elabels`; `negate_weights` turns a maximization
-/// into a minimization (min w = -max -w). Throws std::logic_error when a
-/// tree edge is not a graph edge.
-NodeSite node_site(const congest::Network& net, const ElimTreeResult& tree,
-                   const LocalBag& bag, int v,
-                   const std::vector<std::string>& vlabels,
-                   const std::vector<std::string>& elabels,
-                   bool negate_weights);
+/// Resolves the tree ports of graph vertex `v`. Throws std::logic_error
+/// when a tree edge is not a graph edge.
+NodePorts node_ports(const Graph& g, const ElimTreeResult& tree, int v);
+
+/// Solve-phase inputs other than the tree, bags and cache.
+struct FoldSetup {
+  std::string_view phase;                   // PhaseScope name
+  const std::vector<std::string>& vlabels;  // bag label bit order
+  const std::vector<std::string>& elabels;
+  bool negate_weights = false;
+};
+
+/// The fold context of a node with bag `bag` and elimination-tree children
+/// `child_ids` (in fold slot order). Bag label bits are read in the order
+/// of `setup.vlabels` / `setup.elabels`; `setup.negate_weights` turns a
+/// maximization into a minimization (min w = -max -w).
+LocalContext fold_context(const LocalBag& bag,
+                          const std::vector<VertexId>& child_ids,
+                          const FoldSetup& setup);
 
 /// Free set variables of a pipeline's formula, in slot order.
 using Frees = std::vector<std::pair<std::string, mso::Sort>>;
@@ -162,11 +173,15 @@ class TreeFoldProgram final : public congest::NodeProgram {
   using Summary = typename Algebra::Summary;
   using Down = typename Algebra::Down;
 
-  TreeFoldProgram(Algebra& algebra, NodeSite site)
+  /// `setup` and `bag` are read when the node folds, so they must outlive
+  /// the run (run_tree_fold holds both for its duration).
+  TreeFoldProgram(Algebra& algebra, const FoldSetup& setup,
+                  const LocalBag& bag, NodePorts ports)
       : algebra_(algebra),
-        local_(std::move(site.local)),
-        parent_port_(site.parent_port),
-        child_ports_(std::move(site.child_ports)),
+        setup_(setup),
+        bag_(bag),
+        parent_port_(ports.parent_port),
+        child_ports_(std::move(ports.child_ports)),
         inputs_(child_ports_.size()),
         missing_(child_ports_.size()) {
     // Fold slot per port, so a hub with 10^5 children finds the slot of
@@ -191,7 +206,6 @@ class TreeFoldProgram final : public congest::NodeProgram {
   bool folded() const { return folded_; }
   /// The answer this node received (or decided, at the root).
   const std::optional<Down>& down() const { return down_; }
-  const LocalContext& local() const { return local_; }
 
   void on_round(congest::NodeCtx& ctx) override {
     if (first_round_) {
@@ -211,7 +225,13 @@ class TreeFoldProgram final : public congest::NodeProgram {
     if (!summarized_ && (cached_ || missing_ == 0)) {
       summarized_ = true;
       if (!cached_) {
-        summary_ = algebra_.fold(node_, local_, ctx.id(), std::move(inputs_));
+        // Built here and dropped after the fold: holding all n contexts for
+        // the whole run costs more time and memory than the folds do.
+        std::vector<VertexId> child_ids;
+        child_ids.reserve(child_ports_.size());
+        for (int port : child_ports_) child_ids.push_back(ctx.neighbor_id(port));
+        summary_ = algebra_.fold(node_, fold_context(bag_, child_ids, setup_),
+                                 ctx.id(), std::move(inputs_));
         folded_ = true;
       }
       if (parent_port_ < 0)
@@ -285,7 +305,8 @@ class TreeFoldProgram final : public congest::NodeProgram {
   }
 
   Algebra& algebra_;
-  LocalContext local_;
+  const FoldSetup& setup_;
+  const LocalBag& bag_;
   int parent_port_;
   std::vector<int> child_ports_;
   // Fold slot per port; -1 = not a child, or its summary already arrived.
@@ -322,14 +343,6 @@ struct TreeFold {
   }
 };
 
-/// Solve-phase inputs other than the tree, bags and cache.
-struct FoldSetup {
-  std::string_view phase;                   // PhaseScope name
-  const std::vector<std::string>& vlabels;  // bag label bit order
-  const std::vector<std::string>& elabels;
-  bool negate_weights = false;
-};
-
 /// Runs one solve phase over an elimination tree and its bags. When
 /// `cache` is non-null and covers the network it supplies the refold plan,
 /// and a completed run refreshes it with every vertex's summary (refold
@@ -349,8 +362,7 @@ TreeFold<Algebra> run_tree_fold(
   out.programs.reserve(net.n());
   for (int v = 0; v < net.n(); ++v) {
     auto p = std::make_unique<TreeFoldProgram<Algebra>>(
-        algebra, node_site(net, tree, bags[v], v, setup.vlabels,
-                           setup.elabels, setup.negate_weights));
+        algebra, setup, bags[v], node_ports(net.graph(), tree, v));
     if (replay(v)) {
       const int parent = tree.parent[v];
       p->set_cached(*cache->summaries[v], parent >= 0 && !replay(parent));
