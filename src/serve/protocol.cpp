@@ -47,11 +47,18 @@ Request parse_request(const std::string& line) {
   if (!doc) return malformed("", "not a JSON object line");
   if (!doc->is_object()) return malformed("", "request must be an object");
   const Json& j = *doc;
-  std::string id = j["id"].is_string()
-                       ? j["id"].as_string()
-                       : (j["id"].is_number()
-                              ? std::to_string(j["id"].as_int())
-                              : std::string());
+  std::string id;
+  if (j["id"].is_string()) {
+    id = j["id"].as_string();
+  } else if (j["id"].is_number()) {
+    // Echoed as its decimal integer, so only an exactly representable
+    // integer qualifies; 2.5 or 1e300 would echo some other number.
+    std::string error;
+    const auto num =
+        int_field(j, "id", 0, -kMaxExactInt, kMaxExactInt, "2^53", error);
+    if (!num) return malformed("", error);
+    id = std::to_string(*num);
+  }
 
   const std::string verb = j["verb"].as_string();
   if (verb.empty()) return malformed(id, "missing verb");

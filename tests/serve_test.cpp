@@ -23,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "metrics/metrics.hpp"
@@ -327,6 +328,34 @@ TEST(ServeProtocol, OutOfRangeIntegersAreMalformedNotNarrowed) {
   ASSERT_EQ(ok.kind, Request::Kind::kQuery) << ok.error;
   EXPECT_EQ(ok.query.dist, 15);
   EXPECT_EQ(ok.query.max_rounds, 2147483647);
+}
+
+TEST(ServeProtocol, NumericIdsMustBeExactIntegers) {
+  auto ping = [](const std::string& id) {
+    return parse_request("{\"verb\":\"ping\",\"id\":" + id + "}");
+  };
+  for (const auto& [given, echoed] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"42", "42"},
+           {"-7", "-7"},
+           {"3.0", "3"},
+           {"9007199254740992", "9007199254740992"},
+           {"-9007199254740992", "-9007199254740992"},
+           {"\"1e300\"", "1e300"}}) {
+    const Request r = ping(given);
+    EXPECT_EQ(r.kind, Request::Kind::kPing) << given << ": " << r.error;
+    EXPECT_EQ(r.id, echoed) << given;
+  }
+  // A double-to-integer cast would echo 1e300 as -9223372036854775808
+  // (undefined behaviour) and 2.5 as 2.
+  for (const std::string bad :
+       {"1e300", "-1e300", "2.5", "-0.5", "9007199254740994"}) {
+    const Request r = ping(bad);
+    EXPECT_EQ(r.kind, Request::Kind::kMalformed) << bad;
+    EXPECT_EQ(r.id, "") << bad;
+    EXPECT_NE(r.error.find("id must be an integer"), std::string::npos)
+        << bad << ": " << r.error;
+  }
 }
 
 TEST(ServeProtocol, MalformedFreeVariableListsAreRejected) {
