@@ -226,9 +226,13 @@ TEST(Conformance, CertificationDeterministic) {
 
 // --- three-seed verdict/round identity over every protocol ------------------
 
+// PrintTo makes gtest describe the parameter by name alone: the default
+// printer dumps the struct's bytes, pointers included, which change from
+// one build to the next and would leak into the CTest test names.
 struct SeedCase {
   const char* name;
   std::string (*run)(Network&);
+  friend void PrintTo(const SeedCase& c, std::ostream* os) { *os << c.name; }
 };
 
 std::string run_decision_case(Network& net) {
