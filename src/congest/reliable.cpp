@@ -456,7 +456,8 @@ RunOutcome FaultRuntime::run_reliable(
 
     // Load this virtual round's frame onto every live-to-live channel (the
     // queued payload or an empty marker) and wipe the inboxes the step
-    // just consumed.
+    // just consumed. Every message sent this step is counted here, before
+    // crash filtering, as send() would have counted it.
     for (Message& slot : net_.inbox_)
       if (Network::engaged(slot)) slot = Message{};
     bool any_payload = false;
@@ -464,6 +465,8 @@ RunOutcome FaultRuntime::run_reliable(
       Channel& ch = channels_[k];
       const Link& L = links_[k];
       Message& slot = net_.out_slot(L.u, L.uport);
+      if (Network::engaged(slot))
+        net_.account_sent(net_.link_of(L.u, L.uport), slot.bits);
       if (crashed_[L.u] || crashed_[L.v]) {
         slot = Message{};
         ch.active = false;
@@ -682,6 +685,7 @@ RunOutcome FaultRuntime::run_raw(
       const Link& L = links_[k];
       Message& slot = net_.out_slot(L.u, L.uport);
       if (!Network::engaged(slot)) continue;
+      net_.account_sent(net_.link_of(L.u, L.uport), slot.bits);
       if (crashed_[L.u]) {
         slot = Message{};
         continue;

@@ -30,8 +30,9 @@ struct CountAlgebra {
                const Frees& vars)
       : engine(engine), evaluator(engine, lowered, vars) {}
 
-  Summary fold(Node&, const LocalContext& local, VertexId,
+  Summary fold(Node&, FoldInput& input, VertexId,
                std::vector<Summary>&& children) {
+    const LocalContext& local = input.context();
     auto tables =
         bpt::fold_count(engine, local.plan, local.graph, std::move(children));
     return std::move(tables[local.plan.root]);

@@ -49,9 +49,9 @@ struct OptAlgebra {
              const Frees& frees)
       : engine(engine), evaluator(engine, lowered, frees) {}
 
-  Summary fold(Node& node, LocalContext&& local, VertexId,
+  Summary fold(Node& node, FoldInput& input, VertexId,
                std::vector<Summary>&& children) {
-    node.local = std::move(local);
+    node.local = std::move(input.context());
     node.solver = std::make_unique<bpt::OptSolver>(
         engine, node.local.plan, node.local.graph, std::move(children));
     const bpt::OptTable& table = node.solver->root_table();

@@ -42,8 +42,9 @@ struct OptMarkedAlgebra {
         evaluator(engine, lowered, frees),
         vertex_sort(vertex_sort) {}
 
-  Summary fold(Node&, const LocalContext& local, VertexId self,
+  Summary fold(Node&, FoldInput& input, VertexId self,
                std::vector<Summary>&& children) {
+    const LocalContext& local = input.context();
     Summary mine;
     // 1. OPT table.
     std::vector<bpt::OptTable> opt_inputs;

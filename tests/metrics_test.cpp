@@ -167,6 +167,24 @@ TEST(MetricsHistogram, MeteredDecideRunKeepsQuantilesOrdered) {
   }
 }
 
+TEST(MetricsDist, FoldMemoCountsEveryClassFold) {
+  // Each class fold of a decision run is a fold-memo hit or a miss; on a
+  // deep path almost all of them repeat an earlier fold's key.
+  metrics::Registry reg;
+  NetworkConfig cfg;
+  cfg.id_seed = 7;
+  cfg.metrics = &reg;
+  Network net(gen::deeppath(300, 4), cfg);
+  const auto out = dist::run_decision(net, mso::lib::triangle_free(), 4);
+  ASSERT_TRUE(out.run.ok());
+  const long long hits = reg.counter("dist.fold_memo.hits").value();
+  const long long misses = reg.counter("dist.fold_memo.misses").value();
+  EXPECT_EQ(hits + misses, out.folds);
+  EXPECT_EQ(out.folds, net.n());
+  EXPECT_GT(misses, 0);
+  EXPECT_GT(hits, misses);
+}
+
 TEST(MetricsGauge, MaxOfIsRunningMax) {
   metrics::Gauge g;
   g.max_of(5);

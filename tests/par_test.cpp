@@ -8,6 +8,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bpt/engine.hpp"
@@ -218,6 +219,37 @@ TEST(ParDeterminism, ParallelFoldMatchesSerialClass) {
   bpt::Engine one_thread(bpt::config_for(*lowered));
   EXPECT_EQ(bpt::fold_type_parallel(one_thread, plan, g, 1), legacy);
   EXPECT_EQ(one_thread.num_types(), serial_engine.num_types());
+}
+
+TEST(ParDeterminism, DeepPathDecisionWithFoldMemoMatchesSerial) {
+  // On a deep path most folds repeat a key, so with four stepping threads
+  // the class algebra's fold memo is read and written concurrently. The
+  // memo must not change anything the run reports.
+  const Graph g = gen::deeppath(600, 4);
+  auto run = [&](int threads) {
+    congest::NetworkConfig cfg;
+    cfg.id_seed = 11;
+    cfg.threads = threads;
+    congest::Network net(g, cfg);
+    dist::ElimTreeOptions opts;
+    opts.sparse_flood = true;
+    const dist::DecisionOutcome out =
+        dist::run_decision(net, lib::triangle_free(), 4, nullptr, opts);
+    EXPECT_TRUE(out.run.ok()) << "threads=" << threads;
+    EXPECT_EQ(out.folds, g.num_vertices()) << "threads=" << threads;
+    return std::make_pair(out, net.stats());
+  };
+  const auto [serial, serial_stats] = run(1);
+  const auto [parallel, parallel_stats] = run(4);
+  EXPECT_EQ(parallel.holds, serial.holds);
+  EXPECT_EQ(parallel.num_classes, serial.num_classes);
+  EXPECT_EQ(parallel.max_class_bits, serial.max_class_bits);
+  EXPECT_EQ(parallel.total_rounds(), serial.total_rounds());
+  EXPECT_EQ(parallel.rounds_updown, serial.rounds_updown);
+  EXPECT_EQ(parallel_stats.rounds, serial_stats.rounds);
+  EXPECT_EQ(parallel_stats.messages, serial_stats.messages);
+  EXPECT_EQ(parallel_stats.total_bits, serial_stats.total_bits);
+  EXPECT_EQ(parallel_stats.max_message_bits, serial_stats.max_message_bits);
 }
 
 }  // namespace

@@ -298,6 +298,63 @@ TEST(ScaleScheduler, RearmedWakeKeepsActiveStepsAndDoesNotAllocate) {
       << " times over " << rounds << " rounds";
 }
 
+TEST(ScaleScheduler, StaleWakesOverManyRoundsKeepActiveStepsAndDoNotAllocate) {
+  // Leaf i of a star first asks to wake at round 3i + 2, so the wakes
+  // queued in round 0 span kLeaves distinct rounds. The centre stays
+  // restless and sends to leaf i in round 3i, which wakes the leaf one
+  // round early; the leaf then re-arms a different round, 3i + 3. Its
+  // first wake goes stale but stays queued and steps the leaf once more
+  // at 3i + 2, where the leaf re-arms 3i + 3 again (a duplicate, dropped).
+  // At most n wakes are ever queued, so an untraced run allocates nothing.
+  static constexpr int kLeaves = 48;
+  class Centre : public NodeProgram {
+   public:
+    void on_round(NodeCtx& ctx) override {
+      const int r = ctx.round();
+      if (r % 3 == 0 && r / 3 < ctx.degree())
+        ctx.send(r / 3, Message({}, 1));
+    }
+    bool done(const NodeCtx& ctx) const override {
+      return ctx.round() > 3 * (kLeaves - 1);
+    }
+  };
+  class Leaf : public NodeProgram {
+   public:
+    explicit Leaf(int i) : wake_(3 * i + 2) {}
+    void on_round(NodeCtx& ctx) override {
+      if (ctx.round() > wake_)
+        ctx.sleep();
+      else if (ctx.recv(0) != nullptr || ctx.round() == wake_)
+        ctx.wake_at(wake_ + 1);
+      else
+        ctx.wake_at(wake_);
+    }
+    bool done(const NodeCtx& ctx) const override {
+      return ctx.round() > wake_;
+    }
+
+   private:
+    int wake_;
+  };
+  congest::Network net(gen::star(kLeaves));
+  Programs programs;
+  programs.push_back(std::make_unique<Centre>());
+  for (int i = 0; i < kLeaves; ++i)
+    programs.push_back(std::make_unique<Leaf>(i));
+
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  const long rounds = net.run(programs);
+  const long after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(rounds, 3 * kLeaves + 1);
+  // The centre steps in rounds 0 .. 3(kLeaves - 1) + 1; leaf i in round 0,
+  // on its traffic (3i + 1), at its stale wake (3i + 2) and at its re-armed
+  // wake (3i + 3).
+  EXPECT_EQ(net.stats().active_steps, 3 * kLeaves - 1 + 4LL * kLeaves);
+  EXPECT_EQ(after - before, 0)
+      << "untraced Network::run() allocated " << (after - before)
+      << " times over " << rounds << " rounds";
+}
+
 TEST(ScaleScheduler, StepOrderIsAscendingForwardDescendingReverse) {
   // Nodes on a 150-cycle (three bitmap words) wake on scattered schedules
   // and some send, so each round's active set is a scattered subset. Every
