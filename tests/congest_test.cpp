@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "congest/fragment.hpp"
 #include "graph/generators.hpp"
 
@@ -205,13 +209,19 @@ class MultiPayloadSender : public NodeProgram {
 
 class MultiPayloadReceiver : public NodeProgram {
  public:
+  explicit MultiPayloadReceiver(std::size_t expect = 3) : expect_(expect) {}
   std::vector<std::string> received;
   void on_round(NodeCtx& ctx) override {
     for (int p = 0; p < ctx.degree(); ++p)
       if (auto payload = poll_fragment(ctx, p))
         received.push_back(std::any_cast<std::string>(*payload));
   }
-  bool done(const NodeCtx&) const override { return received.size() == 3; }
+  bool done(const NodeCtx&) const override {
+    return received.size() == expect_;
+  }
+
+ private:
+  std::size_t expect_;
 };
 
 TEST(Congest, FragmentQueuesDeliverInOrder) {
@@ -227,6 +237,54 @@ TEST(Congest, FragmentQueuesDeliverInOrder) {
   EXPECT_EQ(rh->received[0], "first");
   EXPECT_EQ(rh->received[1], "second");
   EXPECT_EQ(rh->received[2], "third");
+}
+
+/// Star hub that queues two payloads per leaf port, highest port first.
+class DescendingHubSender : public NodeProgram {
+ public:
+  void on_round(NodeCtx& ctx) override {
+    if (ctx.round() == 0)
+      for (int port = ctx.degree() - 1; port >= 0; --port) {
+        sender_.enqueue(port, std::string("a") + std::to_string(port), 8);
+        sender_.enqueue(port, std::string("b") + std::to_string(port),
+                        3L * ctx.bandwidth());
+      }
+    sender_.pump(ctx);
+  }
+  bool done(const NodeCtx&) const override { return sender_.idle(); }
+
+ private:
+  FragmentSender sender_;
+};
+
+TEST(Congest, FragmentSenderTakesPortsInAnyOrder) {
+  const int leaves = 1000;
+  const Graph g = gen::star(leaves);
+  Network net(g);
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  std::vector<MultiPayloadReceiver*> receivers(g.num_vertices(), nullptr);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    if (g.degree(v) == leaves) {
+      programs.push_back(std::make_unique<DescendingHubSender>());
+      continue;
+    }
+    auto r = std::make_unique<MultiPayloadReceiver>(2);
+    receivers[v] = r.get();
+    programs.push_back(std::move(r));
+  }
+  net.run(programs);
+  // Every hub port reaches exactly one leaf, its two payloads in order.
+  std::vector<int> seen(leaves, 0);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    if (receivers[v] == nullptr) continue;
+    const auto& received = receivers[v]->received;
+    ASSERT_EQ(received.size(), 2u) << "leaf " << v;
+    const std::string port = received[0].substr(1);
+    EXPECT_EQ(received[0], "a" + port);
+    EXPECT_EQ(received[1], "b" + port);
+    seen.at(std::stoi(port)) += 1;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), leaves);
 }
 
 }  // namespace
